@@ -798,12 +798,14 @@ Result<ExecutionReport> Execute(const WorkflowDag& dag,
     });
   }
   if (st.materializer != nullptr) {
-    // Wait out the write pipeline before closing the books — even on an
+    // Finish the write pipeline before closing the books — even on an
     // execution error, so a shared writer never carries this iteration's
-    // outcomes (stale node ids) into the next Drain. The report's total
-    // time honestly includes any tail of unfinished writes. On a shared
-    // writer only this execution's owner tag is drained: sibling
-    // sessions' queued requests are neither awaited nor consumed.
+    // outcomes (stale node ids) into the next Drain. Drain writes this
+    // execution's still-queued requests on this thread, alongside the
+    // writer thread; the report's total time honestly includes that tail.
+    // On a shared writer only this execution's owner tag is drained:
+    // sibling sessions' queued requests are neither written, awaited nor
+    // consumed.
     std::vector<runtime::AsyncMaterializer::Outcome> outcomes =
         options.materializer != nullptr
             ? st.materializer->Drain(options.materializer_owner)

@@ -285,22 +285,26 @@ Operator CsvScanner(const std::string& name,
       b.Reserve(in->num_rows());
     }
     std::string scratch;
+    // Reused across lines: fields are views into the line (or into
+    // field_scratch for unescaped quoted fields), so a row allocates
+    // nothing beyond the builders' own growth.
+    std::vector<std::string_view> fields;
+    std::string field_scratch;
     int64_t row_id = 0;
     auto parse_line = [&](std::string_view line) -> Status {
-      auto fields = ParseCsvLine(line);
-      if (!fields.ok()) {
-        return fields.status().WithContext(
-            StrFormat("CSV parse error at row %lld",
-                      static_cast<long long>(row_id)));
+      Status split = SplitCsvLine(line, ',', &fields, &field_scratch);
+      if (!split.ok()) {
+        return split.WithContext(StrFormat("CSV parse error at row %lld",
+                                           static_cast<long long>(row_id)));
       }
-      if (fields.value().size() != columns.size()) {
-        return Status::InvalidArgument(StrFormat(
-            "row %lld has %zu fields, expected %zu",
-            static_cast<long long>(row_id), fields.value().size(),
-            columns.size()));
+      if (fields.size() != columns.size()) {
+        return Status::InvalidArgument(
+            StrFormat("row %lld has %zu fields, expected %zu",
+                      static_cast<long long>(row_id), fields.size(),
+                      columns.size()));
       }
       for (size_t c = 0; c < columns.size(); ++c) {
-        builders[c].AppendString(Trim(fields.value()[c]));
+        builders[c].AppendString(TrimView(fields[c]));
       }
       ++row_id;
       return Status::OK();

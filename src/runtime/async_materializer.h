@@ -5,29 +5,37 @@
 // store->Put stalls the operator that produced the result — serialization
 // plus disk write sit on the critical path. The related-work challenges
 // paper calls out overlapping computation with I/O as a key acceleration
-// opportunity; this pipeline is that overlap: a single background writer
-// thread owns the actual Put, compute threads only enqueue a (cheap,
+// opportunity; this pipeline is that overlap: a background writer thread
+// performs the Puts, compute threads only enqueue a (cheap,
 // shared-payload) DataCollection handle and move on. Serialization also
-// happens on the writer thread — once, into a size-reserved buffer that
+// happens off the compute path — once, into a size-reserved buffer that
 // is moved (never copied) into the storage backend (see
 // DataCollection::SerializeToString and StorageBackend::Write's
-// move-aware overload) — so neither the envelope build nor a buffer copy
-// ever lands on the compute path. Outcomes are collected and applied to
-// execution records when the caller drains the pipeline at the end of
-// the iteration.
+// move-aware overload). Outcomes are collected and applied to execution
+// records when the caller drains the pipeline at the end of the
+// iteration.
+//
+// A draining caller has nothing left to compute, so instead of sleeping
+// until the writer thread reaches its requests it writes them itself:
+// Drain pops the caller's oldest queued request and runs the same Put
+// and bookkeeping as the writer thread, which keeps working through the
+// rest of the queue in parallel. At the end of an iteration the backlog
+// is written by two threads rather than one, with no extra thread.
 //
 // Multi-session sharing: one materializer may serve many concurrent
 // sessions writing to one shared store (the service layer). Requests
 // carry an `owner` tag, and Drain(owner) waits only for that owner's
-// writes and returns only that owner's outcomes — one session finishing
-// its iteration neither blocks on another session's (possibly endless)
-// stream of requests nor steals its outcomes.
+// writes, writes only that owner's requests, and returns only that
+// owner's outcomes — one session finishing its iteration neither blocks
+// on another session's (possibly endless) stream of requests nor steals
+// its outcomes or its work.
 #ifndef HELIX_RUNTIME_ASYNC_MATERIALIZER_H_
 #define HELIX_RUNTIME_ASYNC_MATERIALIZER_H_
 
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -50,8 +58,12 @@ namespace runtime {
 
 /// Background writer that persists results to an IntermediateStore off the
 /// compute critical path. The store must be thread-safe (it is — see
-/// storage/store.h); the writer is a single thread, so writes retain
-/// enqueue order.
+/// storage/store.h). Writes run on the writer thread and on draining
+/// callers, so requests for different signatures may land concurrently;
+/// two requests for the same signature are written one after the other
+/// in dequeue order, so the earlier one wins and the later one reports
+/// AlreadyExists, exactly as with a single writer. Outcomes are returned
+/// in enqueue order.
 ///
 /// Thread safety: Enqueue/Drain/Pending are safe from any thread;
 /// multiple producers may enqueue concurrently. Ownership: the store is
@@ -119,17 +131,19 @@ class AsyncMaterializer {
   /// Payload bytes currently held by queued + in-flight requests.
   int64_t QueuedBytes() const;
 
-  /// Blocks until every write enqueued so far — any owner — has been
-  /// attempted, then returns (and clears) their outcomes in enqueue order.
-  /// Only meaningful for a single-owner materializer: under concurrent
-  /// producers this waits for a momentarily empty queue.
+  /// Writes queued requests — any owner, oldest first — on the calling
+  /// thread alongside the writer thread until none is queued, waits for
+  /// the writes still in flight, then returns (and clears) every outcome
+  /// in enqueue order. Only meaningful for a single-owner materializer:
+  /// under concurrent producers this waits for a momentarily empty queue.
   std::vector<Outcome> Drain();
 
-  /// Blocks until every write enqueued so far *by `owner`* has been
-  /// attempted, then returns (and clears) that owner's outcomes in
-  /// enqueue order. Other owners' queued requests are untouched: they are
-  /// neither waited for (beyond FIFO requests already ahead of `owner`'s
-  /// last write) nor returned — their own Drain still sees them.
+  /// Writes `owner`'s queued requests, oldest first, on the calling
+  /// thread alongside the writer thread, waits for `owner`'s writes still
+  /// in flight, then returns (and clears) that owner's outcomes in
+  /// enqueue order. Other owners' requests are untouched: they are
+  /// neither written nor waited for here nor returned — the writer thread
+  /// writes them and their own Drain returns them.
   std::vector<Outcome> Drain(uint64_t owner);
 
   /// Writes queued or executing right now (diagnostics).
@@ -146,22 +160,40 @@ class AsyncMaterializer {
                        const std::string& prefix = "materializer");
 
  private:
+  // A request plus its enqueue sequence number, which orders outcomes.
+  struct Queued {
+    Request request;
+    uint64_t seq = 0;
+  };
+
   void WriterLoop();
+  // Shared by the writer thread and draining callers: removes
+  // queue_[index], Puts it with mu_ released, and records the outcome.
+  // `lock` holds mu_ on entry and on return.
+  void WriteOne(std::unique_lock<std::mutex>& lock, size_t index);
+  // Removes and returns (in enqueue order) the finished outcomes that
+  // `keep` selects.
+  template <typename Pred>
+  std::vector<Outcome> TakeOutcomesLocked(Pred keep);
 
   storage::IntermediateStore* store_;
   const int64_t max_queue_bytes_;
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;     // wakes the writer
-  std::condition_variable drained_cv_;  // wakes Drain (any flavor)
+  std::condition_variable drained_cv_;  // a write finished (Drain, WriteOne)
   std::condition_variable space_cv_;    // wakes Enqueue back-pressure waits
-  std::deque<Request> queue_;
+  std::deque<Queued> queue_;
+  uint64_t next_seq_ = 0;
   int64_t queued_bytes_ = 0;  // payload bytes queued + in-flight
-  std::vector<Outcome> outcomes_;
+  // Finished writes by enqueue sequence: writers finish out of order.
+  std::map<uint64_t, Outcome> outcomes_;
   // Queued + in-flight request count per owner; the entry is erased when
   // it reaches zero, so the map stays bounded by live owners.
   std::unordered_map<uint64_t, size_t> pending_per_owner_;
-  bool writing_ = false;   // writer is executing a Put right now
+  size_t writing_ = 0;  // requests dequeued and not yet finished
+  // Signatures whose Put is running now (at most one per writing thread).
+  std::vector<uint64_t> writing_signatures_;
   bool shutdown_ = false;
 
   // Telemetry (null until EnableTelemetry; pointers written under mu_).

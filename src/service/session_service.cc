@@ -76,6 +76,12 @@ Result<std::unique_ptr<SessionService>> SessionService::Open(
     return Status::InvalidArgument(
         "SessionService with a disk backend requires a workspace_dir");
   }
+  if (!options.workspace_dir.empty()) {
+    // The disk store creates its own subdirectory, but the shared stats
+    // file lives at the workspace root whatever the backend: without this
+    // a memory-backed service could never persist STATS at shutdown.
+    HELIX_RETURN_IF_ERROR(MakeDirs(options.workspace_dir));
+  }
   std::unique_ptr<SessionService> service(new SessionService(options));
   service->clock_ =
       options.clock != nullptr ? options.clock : SystemClock::Default();

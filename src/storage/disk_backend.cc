@@ -1,6 +1,7 @@
 #include "storage/disk_backend.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdlib>
 #include <fstream>
 
@@ -24,12 +25,29 @@ constexpr uint8_t kRecordTombstone = 2;
 // Framing per record: [u32 body_len][body][u64 fnv64(body)].
 constexpr int64_t kFrameOverhead = 4 + 8;
 
-std::string BuildPutBody(const StoreEntry& meta, std::string_view payload) {
+// Starts a frame in an empty writer: the length prefix, reserving room
+// for the whole record so the body never reallocates.
+ByteWriter StartFrame(size_t body_len) {
   ByteWriter w;
-  // Exact-size reserve: the payload dominates, so building the framed
-  // record must not reallocate-and-copy it on the materialization path.
-  w.Reserve(1 + 8 + (8 + meta.node_name.size()) + 6 * 8 + 8 +
-            (8 + payload.size()));
+  w.Reserve(4 + body_len + 8);
+  w.PutU32(static_cast<uint32_t>(body_len));
+  return w;
+}
+
+// Appends the checksum of the body written after StartFrame.
+std::string FinishFrame(ByteWriter* w) {
+  const size_t body_len = w->size() - 4;
+  w->PutU64(FnvHash64(w->data().data() + 4, body_len));
+  return w->TakeData();
+}
+
+// The framed PUT record, built in one exact-size buffer: the payload
+// dominates, so it is copied exactly once. Needs no backend state, so
+// Write builds it before taking the lock.
+std::string BuildPutRecord(const StoreEntry& meta, std::string_view payload) {
+  const size_t body_len = 1 + 8 + (8 + meta.node_name.size()) + 6 * 8 +
+                          (8 + payload.size());
+  ByteWriter w = StartFrame(body_len);
   w.PutU8(kRecordPut);
   w.PutU64(meta.signature);
   w.PutString(meta.node_name);
@@ -40,14 +58,15 @@ std::string BuildPutBody(const StoreEntry& meta, std::string_view payload) {
   w.PutI64(meta.iteration);
   w.PutU64(meta.fingerprint);
   w.PutString(payload);
-  return w.TakeData();
+  assert(w.size() == 4 + body_len);
+  return FinishFrame(&w);
 }
 
-std::string BuildTombstoneBody(uint64_t signature) {
-  ByteWriter w;
+std::string BuildTombstoneRecord(uint64_t signature) {
+  ByteWriter w = StartFrame(1 + 8);
   w.PutU8(kRecordTombstone);
   w.PutU64(signature);
-  return w.TakeData();
+  return FinishFrame(&w);
 }
 
 struct ParsedRecord {
@@ -206,30 +225,23 @@ Status DiskBackend::ReplaySegment(uint64_t id, bool* clean_out) {
 }
 
 Status DiskBackend::AppendRecordLocked(uint64_t segment_id,
-                                       const std::string& body) {
-  ByteWriter frame;
-  frame.PutU32(static_cast<uint32_t>(body.size()));
-  frame.PutRaw(body.data(), body.size());
-  frame.PutU64(FnvHash64(body.data(), body.size()));
-
+                                       const std::string& record) {
   std::ofstream out(SegmentPath(segment_id),
                     std::ios::binary | std::ios::app);
   if (!out) {
     return Status::IOError("cannot open segment for append: " +
                            SegmentPath(segment_id));
   }
-  out.write(frame.data().data(),
-            static_cast<std::streamsize>(frame.size()));
+  out.write(record.data(), static_cast<std::streamsize>(record.size()));
   out.flush();
+  segments_[segment_id].file_bytes += static_cast<int64_t>(record.size());
   if (!out) {
     // The file may now end in a torn record; never append after it again
     // (replay would stop at the tear and lose later good records).
-    segments_[segment_id].file_bytes += static_cast<int64_t>(frame.size());
     active_segment_ = 0;
     return Status::IOError("segment append failed: " +
                            SegmentPath(segment_id));
   }
-  segments_[segment_id].file_bytes += static_cast<int64_t>(frame.size());
   return Status::OK();
 }
 
@@ -256,12 +268,14 @@ Status DiskBackend::DropSegmentIfDeadLocked(uint64_t id) {
 }
 
 Status DiskBackend::Write(const StoreEntry& meta, std::string_view payload) {
+  // Framing and checksumming touch no backend state: do them before
+  // taking mu_, so concurrent Writes overlap everything but the append.
+  const std::string record = BuildPutRecord(meta, payload);
   std::lock_guard<std::mutex> lock(mu_);
   HELIX_RETURN_IF_ERROR(RollIfNeededLocked());
   uint64_t target = active_segment_;
-  std::string body = BuildPutBody(meta, payload);
   int64_t offset = segments_[target].file_bytes + 4;
-  HELIX_RETURN_IF_ERROR(AppendRecordLocked(target, body));
+  HELIX_RETURN_IF_ERROR(AppendRecordLocked(target, record));
 
   auto prev = index_.find(meta.signature);
   if (prev != index_.end()) {
@@ -273,8 +287,8 @@ Status DiskBackend::Write(const StoreEntry& meta, std::string_view payload) {
   Location loc;
   loc.segment = target;
   loc.offset = offset;
-  loc.length = static_cast<int64_t>(body.size());
-  loc.record_bytes = static_cast<int64_t>(body.size()) + kFrameOverhead;
+  loc.record_bytes = static_cast<int64_t>(record.size());
+  loc.length = loc.record_bytes - kFrameOverhead;
   index_[meta.signature] = loc;
   meta_[meta.signature] = meta;
   segments_[target].live_bytes += loc.record_bytes;
@@ -350,7 +364,7 @@ Status DiskBackend::Delete(uint64_t signature) {
   // is consistent (the entry can at worst resurrect on restart).
   HELIX_RETURN_IF_ERROR(RollIfNeededLocked());
   Status appended =
-      AppendRecordLocked(active_segment_, BuildTombstoneBody(signature));
+      AppendRecordLocked(active_segment_, BuildTombstoneRecord(signature));
   HELIX_RETURN_IF_ERROR(DropSegmentIfDeadLocked(owner));
   HELIX_RETURN_IF_ERROR(MaybeCompactLocked());
   return appended;
@@ -441,14 +455,14 @@ Status DiskBackend::CompactLocked() {
         segments_[next];
         active_segment_ = next;
       }
-      std::string body = BuildPutBody(rec.value().meta, rec.value().payload);
+      std::string record =
+          BuildPutRecord(rec.value().meta, rec.value().payload);
       Location new_loc;
       new_loc.segment = active_segment_;
       new_loc.offset = segments_[active_segment_].file_bytes + 4;
-      new_loc.length = static_cast<int64_t>(body.size());
-      new_loc.record_bytes =
-          static_cast<int64_t>(body.size()) + kFrameOverhead;
-      HELIX_RETURN_IF_ERROR(AppendRecordLocked(active_segment_, body));
+      new_loc.record_bytes = static_cast<int64_t>(record.size());
+      new_loc.length = new_loc.record_bytes - kFrameOverhead;
+      HELIX_RETURN_IF_ERROR(AppendRecordLocked(active_segment_, record));
       index_[sig] = new_loc;
       segments_[active_segment_].live_bytes += new_loc.record_bytes;
     }

@@ -46,10 +46,12 @@ struct DiskBackendOptions {
 /// Append-only segmented log StorageBackend.
 ///
 /// Thread safety: all methods are safe to call concurrently. One mutex
-/// guards the index and all appends (writes are strictly serialized —
-/// the store keeps them off the compute path via the async materializer);
-/// Read resolves the location under the mutex but performs the actual
-/// file read outside it, so loads of different entries overlap.
+/// guards the index and all appends. Write builds the framed, checksummed
+/// record before taking it, so concurrent Writes (the materializer's
+/// writer thread plus a draining caller) serialize only on the append
+/// and index update; Read resolves the location under the mutex but
+/// performs the actual file read outside it, so loads of different
+/// entries overlap.
 /// Ownership: owns its directory contents; destroying the backend closes
 /// the active segment but deletes nothing.
 /// Failure modes: Read returns NotFound for unknown signatures and
@@ -109,7 +111,8 @@ class DiskBackend final : public StorageBackend {
   // without mu_ (segments are append-only; Read retries stale locations).
   Result<std::string> ReadAt(uint64_t signature, const Location& loc) const;
   // *Locked methods require mu_.
-  Status AppendRecordLocked(uint64_t segment_id, const std::string& body);
+  // Appends one framed record ([u32 len][body][u64 fnv64(body)]).
+  Status AppendRecordLocked(uint64_t segment_id, const std::string& record);
   Status RollIfNeededLocked();
   Status DropSegmentIfDeadLocked(uint64_t id);
   Status CompactLocked();

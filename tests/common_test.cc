@@ -16,6 +16,10 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/strings.h"
+#include "core/std_ops.h"
+#include "dataflow/data_collection.h"
+#include "dataflow/table.h"
+#include "datagen/census_gen.h"
 
 namespace helix {
 namespace {
@@ -234,6 +238,217 @@ TEST(CsvTest, EmptyFields) {
 
 TEST(CsvTest, UnterminatedQuoteFails) {
   EXPECT_FALSE(ParseCsvLine("\"abc").ok());
+}
+
+TEST(CsvTest, NewlineOutsideQuotesFailsInSingleLineMode) {
+  auto fields = ParseCsvLine("a,b\nc");
+  ASSERT_FALSE(fields.ok());
+  EXPECT_EQ(fields.status().message(), "CSV: newline in single-line mode");
+  // Inside quotes a newline is field content.
+  fields = ParseCsvLine("\"a\nb\",c");
+  ASSERT_TRUE(fields.ok());
+  EXPECT_EQ(fields.value(), (std::vector<std::string>{"a\nb", "c"}));
+}
+
+TEST(CsvTest, SplitBorrowsUnquotedFieldsAndUnescapesIntoScratch) {
+  const std::string line = "ab,\"c,d\",\"e\"\"f\",\"g\"h";
+  std::vector<std::string_view> fields;
+  std::string scratch;
+  ASSERT_TRUE(SplitCsvLine(line, ',', &fields, &scratch).ok());
+  ASSERT_EQ(fields.size(), 4u);
+  EXPECT_EQ(fields[0], "ab");
+  EXPECT_EQ(fields[1], "c,d");
+  EXPECT_EQ(fields[2], "e\"f");
+  EXPECT_EQ(fields[3], "gh");
+  // Plain and plain-quoted fields point into the line; the escaped field
+  // and the one with text after its closing quote live in scratch.
+  EXPECT_EQ(fields[0].data(), line.data());
+  EXPECT_EQ(fields[1].data(), line.data() + 4);
+  EXPECT_EQ(fields[2].data(), scratch.data());
+  EXPECT_EQ(fields[3].data(), scratch.data() + 3);
+}
+
+// Builds one random single CSV line (no newline; newline handling has its
+// own test above): a mix of well-formed unquoted and quoted fields with ""
+// escapes, padding, \r and empty fields, and malformed ones (stray quotes,
+// unterminated quotes, padding before an opening quote, text after a
+// closing quote), with 1-6 fields.
+std::string RandomCsvLine(Rng* rng) {
+  static const char kSoup[] = {'a', 'b', ',', '"', ' ', '\r', '\t'};
+  auto text = [rng](const char* alphabet, size_t n, int64_t max_len) {
+    std::string out;
+    int64_t len = rng->NextInt(0, max_len);
+    for (int64_t i = 0; i < len; ++i) {
+      out.push_back(alphabet[rng->NextBelow(n)]);
+    }
+    return out;
+  };
+  if (rng->NextBool(0.25)) {
+    // Character soup: exercises every state transition, mostly invalid.
+    return text(kSoup, sizeof(kSoup), 16);
+  }
+  std::string line;
+  int64_t num_fields = rng->NextInt(1, 6);
+  for (int64_t f = 0; f < num_fields; ++f) {
+    if (f > 0) {
+      line.push_back(',');
+    }
+    switch (rng->NextBelow(8)) {
+      case 0:  // empty
+        break;
+      case 1:
+      case 2:  // unquoted, possibly padded, possibly with a literal \r
+        line += text("xy1 \t\r", 6, 6);
+        break;
+      case 3:
+      case 4: {  // quoted, with escapes, separators and \r inside
+        line.push_back('"');
+        int64_t parts = rng->NextInt(0, 4);
+        for (int64_t p = 0; p < parts; ++p) {
+          line += rng->NextBool(0.3) ? "\"\"" : text("q, \r", 4, 6);
+        }
+        line.push_back('"');
+        if (rng->NextBool(0.15)) {
+          line += text("t ", 2, 6);  // text after the closing quote
+        }
+        if (rng->NextBool(0.2)) {
+          line.push_back(' ');  // trailing padding
+        }
+        break;
+      }
+      case 5:  // padding before an opening quote
+        line += " \"p\"";
+        break;
+      case 6:  // stray quote inside an unquoted field
+        line += rng->NextBool() ? "s\"t" : "s\"";
+        break;
+      default:  // unterminated quote, or a quote after a closed one
+        line += rng->NextBool() ? "\"open" : "\"a\"b\"";
+        break;
+    }
+  }
+  return line;
+}
+
+dataflow::DataCollection CsvBlob(const std::string& train,
+                                 const std::string& test) {
+  auto table = std::make_shared<dataflow::TableData>(
+      dataflow::Schema::AllStrings({core::ops::kSplitColumn, "content"}));
+  EXPECT_TRUE(table
+                  ->AppendRow({dataflow::Value(std::string("train")),
+                               dataflow::Value(train)})
+                  .ok());
+  EXPECT_TRUE(table
+                  ->AppendRow({dataflow::Value(std::string("test")),
+                               dataflow::Value(test)})
+                  .ok());
+  return dataflow::DataCollection::FromTable(table);
+}
+
+// Differential: the borrowed-field splitter against the whole-document
+// parser as the oracle. Same fields (raw and trimmed), or the same error.
+// CSVScanner, on top of the splitter, rejects exactly the lines whose
+// field count is wrong.
+TEST(CsvTest, SplitMatchesWholeDocumentParserOnRandomLines) {
+  Rng rng(0xC5F11E);
+  std::vector<std::string_view> fields;
+  std::string scratch;
+  const core::Operator scanner =
+      core::ops::CsvScanner("rows", {"c0", "c1", "c2"});
+  int ok_lines = 0;
+  int error_lines = 0;
+  int arity_errors = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const std::string line = RandomCsvLine(&rng);
+    SCOPED_TRACE("line #" + std::to_string(i) + ": [" + line + "]");
+    auto oracle = ParseCsv(line);
+    Status split = SplitCsvLine(line, ',', &fields, &scratch);
+    if (!oracle.ok()) {
+      ++error_lines;
+      ASSERT_FALSE(split.ok());
+      EXPECT_EQ(split.code(), oracle.status().code());
+      EXPECT_EQ(split.message(), oracle.status().message());
+      continue;
+    }
+    ++ok_lines;
+    ASSERT_TRUE(split.ok()) << split.ToString();
+    // The document parser yields no record for empty text; a single line
+    // is always one record.
+    ASSERT_LE(oracle.value().size(), 1u);
+    std::vector<std::string> expected =
+        oracle.value().empty() ? std::vector<std::string>{""}
+                               : oracle.value().front();
+    ASSERT_EQ(fields.size(), expected.size());
+    for (size_t f = 0; f < fields.size(); ++f) {
+      EXPECT_EQ(fields[f], expected[f]);
+      EXPECT_EQ(TrimView(fields[f]), Trim(expected[f]));
+      // Every view borrows from the line or from the scratch buffer.
+      const char* p = fields[f].data();
+      const size_t n = fields[f].size();
+      bool in_line = p >= line.data() && p + n <= line.data() + line.size();
+      bool in_scratch =
+          p >= scratch.data() && p + n <= scratch.data() + scratch.size();
+      EXPECT_TRUE(n == 0 || in_line || in_scratch);
+    }
+    auto copied = ParseCsvLine(line);
+    ASSERT_TRUE(copied.ok());
+    EXPECT_EQ(copied.value(), expected);
+    if (i % 8 == 0 && !line.empty()) {
+      dataflow::DataCollection blob = CsvBlob(line + "\n", "");
+      auto scanned = scanner.Invoke({&blob});
+      EXPECT_EQ(scanned.ok(), fields.size() == 3u);
+      if (!scanned.ok()) {
+        ++arity_errors;
+        EXPECT_NE(scanned.status().message().find("fields, expected 3"),
+                  std::string::npos)
+            << scanned.status().ToString();
+      }
+    }
+  }
+  // The generator must cover every outcome substantially.
+  EXPECT_GT(ok_lines, 5000);
+  EXPECT_GT(error_lines, 2000);
+  EXPECT_GT(arity_errors, 300);
+}
+
+// CSVScanner output is pinned bit-for-bit: these fingerprints were
+// captured with the previous char-at-a-time line parser.
+uint64_t ScanFingerprint(const std::vector<std::string>& columns,
+                         const std::string& train, const std::string& test,
+                         int64_t expected_rows) {
+  dataflow::DataCollection in = CsvBlob(train, test);
+  auto out = core::ops::CsvScanner("rows", columns).Invoke({&in});
+  EXPECT_TRUE(out.ok()) << out.status().ToString();
+  if (!out.ok()) {
+    return 0;
+  }
+  EXPECT_EQ(out.value().AsTable().value()->num_rows(), expected_rows);
+  return out.value().Fingerprint();
+}
+
+TEST(CsvTest, CsvScannerFingerprintPinnedOnCensusCsv) {
+  datagen::CensusGenOptions train;
+  train.num_rows = 600;
+  train.seed = 41;
+  datagen::CensusGenOptions test;
+  test.num_rows = 200;
+  test.seed = 42;
+  EXPECT_EQ(ScanFingerprint(datagen::CensusColumns(),
+                            datagen::GenerateCensusCsv(train),
+                            datagen::GenerateCensusCsv(test), 800),
+            0x291db101dd47014aULL);
+}
+
+TEST(CsvTest, CsvScannerFingerprintPinnedOnQuotedFields) {
+  const std::string train =
+      "\"Smith, John\" , 42 ,\"said \"\"hi\"\"\"\r\n"
+      "plain,  7,\"\"\n"
+      "\n"
+      " padded ,\"x\"tail ,\"multi\"\"\"\"q\"\n"
+      ",,\n";
+  const std::string test = "\"a\"\"\",\"\",\"b,c\"\n\"\",z,\" y \"";
+  EXPECT_EQ(ScanFingerprint({"name", "n", "note"}, train, test, 6),
+            0x42bfdc7baf9b7089ULL);
 }
 
 TEST(CsvTest, MultiLineDocument) {

@@ -7,12 +7,14 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <map>
 #include <mutex>
 #include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/file_util.h"
 #include "common/status.h"
 #include "dataflow/data_collection.h"
@@ -284,7 +286,7 @@ TEST_F(AsyncMaterializerTest, WritesLandInStoreAndDrainReportsThem) {
   ASSERT_EQ(outcomes.size(), 4u);
   for (int i = 0; i < 4; ++i) {
     const auto& outcome = outcomes[static_cast<size_t>(i)];
-    EXPECT_EQ(outcome.node, i);  // single writer: enqueue order preserved
+    EXPECT_EQ(outcome.node, i);  // outcomes come back in enqueue order
     EXPECT_TRUE(outcome.status.ok()) << outcome.status.ToString();
     EXPECT_GE(outcome.write_micros, 0);
     EXPECT_TRUE(store->Has(outcome.signature));
@@ -460,6 +462,242 @@ TEST_F(AsyncMaterializerTest, DrainOneOwnerWhileAnotherKeepsEnqueueing) {
   for (const auto& outcome : theirs) {
     EXPECT_EQ(outcome.owner, 2u);
   }
+}
+
+// --- Draining callers write their own backlog ------------------------------
+
+// A store clock that parks the first thread, other than the one that
+// created it, to time a store write — the materializer's writer thread,
+// inside its first Put — until Release(). Every other thread passes, so a
+// test can prove which work a draining caller does on its own thread.
+class WriterGateClock final : public Clock {
+ public:
+  int64_t NowMicros() const override {
+    std::unique_lock<std::mutex> lock(mu_);
+    const std::thread::id self = std::this_thread::get_id();
+    if (self != creator_ && !released_ &&
+        (held_ == std::thread::id() || held_ == self)) {
+      held_ = self;
+      parked_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [this]() { return released_; });
+    }
+    return SystemClock::Default()->NowMicros();
+  }
+  void AdvanceMicros(int64_t /*micros*/) override {}
+  bool is_virtual() const override { return false; }
+
+  void WaitUntilWriterParked() const {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this]() { return parked_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  const std::thread::id creator_ = std::this_thread::get_id();
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable std::thread::id held_;
+  mutable bool parked_ = false;
+  bool released_ = false;
+};
+
+void EnqueueTagged(AsyncMaterializer* materializer, uint64_t owner, int node,
+                   uint64_t signature) {
+  AsyncMaterializer::Request request;
+  request.node = node;
+  request.signature = signature;
+  request.node_name = "o" + std::to_string(owner);
+  request.data = MakeCollection("payload-" + std::to_string(signature));
+  request.owner = owner;
+  materializer->Enqueue(std::move(request));
+}
+
+// Drain(owner) writes its own queued requests on the calling thread — it
+// finishes while the writer thread is held inside a sibling's Put — and
+// leaves every sibling request queued for the writer thread, whose own
+// Drain still returns them.
+TEST_F(AsyncMaterializerTest, DrainWritesOnlyItsOwnersRequests) {
+  WriterGateClock clock;
+  storage::StoreOptions options;
+  options.budget_bytes = 1 << 20;
+  options.clock = &clock;
+  auto store = storage::IntermediateStore::Open(dir_, options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  AsyncMaterializer materializer(store.value().get());
+  for (int i = 0; i < 3; ++i) {
+    EnqueueTagged(&materializer, 2, i, 900 + static_cast<uint64_t>(i));
+  }
+  for (int i = 0; i < 3; ++i) {
+    EnqueueTagged(&materializer, 1, i, 910 + static_cast<uint64_t>(i));
+  }
+  clock.WaitUntilWriterParked();  // inside owner 2's first Put
+
+  std::vector<AsyncMaterializer::Outcome> mine = materializer.Drain(1);
+  ASSERT_EQ(mine.size(), 3u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(mine[static_cast<size_t>(i)].owner, 1u);
+    EXPECT_EQ(mine[static_cast<size_t>(i)].node, i);
+    EXPECT_TRUE(mine[static_cast<size_t>(i)].status.ok());
+    EXPECT_TRUE(store.value()->Has(910 + static_cast<uint64_t>(i)));
+  }
+  // Owner 2's requests are untouched: one held in the writer's Put, two
+  // still queued.
+  EXPECT_EQ(materializer.Pending(1), 0u);
+  EXPECT_EQ(materializer.Pending(2), 3u);
+  EXPECT_EQ(materializer.Pending(), 3u);
+  EXPECT_FALSE(store.value()->Has(901));
+  EXPECT_FALSE(store.value()->Has(902));
+
+  clock.Release();
+  std::vector<AsyncMaterializer::Outcome> theirs = materializer.Drain(2);
+  ASSERT_EQ(theirs.size(), 3u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(theirs[static_cast<size_t>(i)].owner, 2u);
+    EXPECT_EQ(theirs[static_cast<size_t>(i)].node, i);
+    EXPECT_TRUE(theirs[static_cast<size_t>(i)].status.ok());
+  }
+  EXPECT_EQ(materializer.Pending(), 0u);
+}
+
+// A draining caller that dequeues a signature the writer thread is still
+// writing waits for that write instead of racing it: the earlier request
+// wins and the later one reports AlreadyExists, as behind one writer.
+TEST_F(AsyncMaterializerTest, SameSignatureWritesStayInDequeueOrder) {
+  WriterGateClock clock;
+  storage::StoreOptions options;
+  options.budget_bytes = 1 << 20;
+  options.clock = &clock;
+  auto store = storage::IntermediateStore::Open(dir_, options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  obs::MetricsRegistry metrics;
+  AsyncMaterializer materializer(store.value().get());
+  materializer.EnableTelemetry(&metrics);
+  obs::Gauge* queue_depth = metrics.GetGauge("materializer.queue_depth");
+  EnqueueTagged(&materializer, 0, 0, 77);
+  clock.WaitUntilWriterParked();  // the writer is inside node 0's Put
+  EnqueueTagged(&materializer, 0, 1, 77);
+  std::vector<AsyncMaterializer::Outcome> outcomes;
+  std::thread drain([&]() { outcomes = materializer.Drain(); });
+  while (queue_depth->Value() != 0) {  // the drain has dequeued node 1
+    std::this_thread::yield();
+  }
+  clock.Release();
+  drain.join();
+  ASSERT_EQ(outcomes.size(), 2u);
+  EXPECT_TRUE(outcomes[0].status.ok()) << outcomes[0].status.ToString();
+  EXPECT_TRUE(outcomes[1].status.IsAlreadyExists())
+      << outcomes[1].status.ToString();
+  EXPECT_EQ(store.value()->NumEntries(), 1u);
+}
+
+// Two concurrent Drain(owner) calls and the writer thread share the
+// backlog; each drain returns exactly its owner's outcomes and the
+// Pending counts come out exact — including the one request the held
+// writer thread is still working on.
+TEST_F(AsyncMaterializerTest, ConcurrentOwnerDrainsAndWriterKeepPendingExact) {
+  WriterGateClock clock;
+  storage::StoreOptions options;
+  options.budget_bytes = 8 << 20;
+  options.clock = &clock;
+  auto store = storage::IntermediateStore::Open(dir_, options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  AsyncMaterializer materializer(store.value().get());
+  EnqueueTagged(&materializer, 3, 0, 2000);  // the writer thread takes this
+  clock.WaitUntilWriterParked();
+  constexpr int kPerOwner = 25;
+  for (int i = 0; i < kPerOwner; ++i) {
+    EnqueueTagged(&materializer, 1, i, 3000 + static_cast<uint64_t>(i));
+    EnqueueTagged(&materializer, 2, i, 4000 + static_cast<uint64_t>(i));
+  }
+  std::vector<AsyncMaterializer::Outcome> one;
+  std::vector<AsyncMaterializer::Outcome> two;
+  std::thread drain_one([&]() { one = materializer.Drain(1); });
+  std::thread drain_two([&]() { two = materializer.Drain(2); });
+  drain_one.join();
+  drain_two.join();
+  for (const auto* outcomes : {&one, &two}) {
+    ASSERT_EQ(outcomes->size(), static_cast<size_t>(kPerOwner));
+    for (int i = 0; i < kPerOwner; ++i) {
+      const auto& outcome = (*outcomes)[static_cast<size_t>(i)];
+      EXPECT_EQ(outcome.owner, outcomes == &one ? 1u : 2u);
+      EXPECT_EQ(outcome.node, i);  // enqueue order
+      EXPECT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+    }
+  }
+  EXPECT_EQ(materializer.Pending(1), 0u);
+  EXPECT_EQ(materializer.Pending(2), 0u);
+  EXPECT_EQ(materializer.Pending(3), 1u);
+  EXPECT_EQ(materializer.Pending(), 1u);
+
+  clock.Release();
+  std::vector<AsyncMaterializer::Outcome> three = materializer.Drain(3);
+  ASSERT_EQ(three.size(), 1u);
+  EXPECT_TRUE(three[0].status.ok());
+  EXPECT_EQ(materializer.Pending(), 0u);
+  EXPECT_EQ(materializer.QueuedBytes(), 0);
+  EXPECT_EQ(store.value()->NumEntries(), 1u + 2u * kPerOwner);
+}
+
+// Under concurrent producers and drains, every outcome is returned exactly
+// once, by its own owner's Drain, and a signature shared across owners is
+// stored exactly once: one OK, every other attempt AlreadyExists.
+TEST_F(AsyncMaterializerTest, EveryOutcomeReturnedExactlyOnce) {
+  auto store = OpenStore(/*budget=*/8 << 20);
+  AsyncMaterializer materializer(store.get());
+  constexpr int kOwners = 3;
+  constexpr int kRounds = 4;
+  constexpr int kPerRound = 12;
+  std::vector<std::vector<AsyncMaterializer::Outcome>> drained(kOwners);
+  std::vector<std::thread> sessions;
+  for (int o = 0; o < kOwners; ++o) {
+    sessions.emplace_back([&, o]() {
+      const uint64_t owner = static_cast<uint64_t>(o + 1);
+      for (int round = 0; round < kRounds; ++round) {
+        for (int i = 0; i < kPerRound; ++i) {
+          int node = round * kPerRound + i;
+          // Even nodes collide across owners; odd nodes are private.
+          uint64_t sig = node % 2 == 0
+                             ? 6000 + static_cast<uint64_t>(node)
+                             : 7000 + owner * 1000 + static_cast<uint64_t>(node);
+          EnqueueTagged(&materializer, owner, node, sig);
+        }
+        for (auto& outcome : materializer.Drain(owner)) {
+          drained[static_cast<size_t>(o)].push_back(std::move(outcome));
+        }
+      }
+    });
+  }
+  for (std::thread& session : sessions) {
+    session.join();
+  }
+  EXPECT_TRUE(materializer.Drain().empty());
+  std::map<uint64_t, int> ok_per_signature;
+  for (int o = 0; o < kOwners; ++o) {
+    const auto& outcomes = drained[static_cast<size_t>(o)];
+    ASSERT_EQ(outcomes.size(), static_cast<size_t>(kRounds * kPerRound));
+    for (size_t i = 0; i < outcomes.size(); ++i) {
+      EXPECT_EQ(outcomes[i].owner, static_cast<uint64_t>(o + 1));
+      EXPECT_EQ(outcomes[i].node, static_cast<int>(i));  // once, in order
+      if (outcomes[i].status.ok()) {
+        ++ok_per_signature[outcomes[i].signature];
+      } else {
+        EXPECT_TRUE(outcomes[i].status.IsAlreadyExists())
+            << outcomes[i].status.ToString();
+      }
+    }
+  }
+  const size_t distinct = kRounds * kPerRound / 2 * (1 + kOwners);
+  EXPECT_EQ(ok_per_signature.size(), distinct);
+  for (const auto& [sig, oks] : ok_per_signature) {
+    EXPECT_EQ(oks, 1) << sig;
+  }
+  EXPECT_EQ(store->NumEntries(), distinct);
+  EXPECT_EQ(materializer.Pending(), 0u);
 }
 
 // Regression for the unbounded-queue RAM spike: a burst of large Puts used

@@ -166,6 +166,32 @@ TEST_F(ServiceTest, ReopenedServiceServesPriorRunsResults) {
   EXPECT_GT(counters.saved_micros, 0);
 }
 
+// Regression: a memory-backed service with a workspace_dir never created
+// that directory (only the disk store makes its own subdirectory), so
+// every shutdown failed to persist STATS with an IOError.
+TEST_F(ServiceTest, MemoryBackendPersistsStatsInItsWorkspace) {
+  SyntheticApp app(0x57A75);
+  std::string ws = JoinPath(dir_, "memory-ws");
+  ASSERT_FALSE(FileExists(ws));
+  ServiceOptions options;
+  options.workspace_dir = ws;
+  options.storage_backend = storage::StorageBackendKind::kMemory;
+  options.num_threads = 1;
+  {
+    auto service = SessionService::Open(options);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    auto session = (*service)->CreateSession("only");
+    ASSERT_TRUE(session.ok());
+    auto result = (*service)->RunIteration(*session, app.Build(0), "initial",
+                                           ChangeCategory::kInitial);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+  }
+  EXPECT_TRUE(FileExists(JoinPath(ws, "STATS")));
+  auto reopened = SessionService::Open(options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_GT((*reopened)->stats()->size(), 0u);
+}
+
 // Per-session counters are per-session: one busy session's work never
 // bleeds into an idle session's numbers.
 TEST_F(ServiceTest, CountersStayPerSession) {
