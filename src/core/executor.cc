@@ -91,15 +91,17 @@ struct ExecState {
   // under the fallback path may race with cost summation elsewhere.
   std::vector<std::atomic<int64_t>> measured_compute;
   std::vector<NodeExecution> records;
-  int64_t materialize_total = 0;
+  // Time this execution spent writing results or waiting for writes.
+  std::atomic<int64_t> materialize_total{0};
 
-  // Guards the (thread-compatible) CostStatsRegistry and materialize_total.
+  // Serializes this execution's CostStatsRegistry updates.
   std::mutex stats_mu;
   // Serializes on-demand recomputation of plan-pruned ancestors after a
   // failed load: two concurrent fallbacks may share pruned ancestors.
   std::mutex fallback_mu;
-  // Non-null in parallel mode when materialization is enabled: Put runs on
-  // the background writer instead of the compute path.
+  // Non-null when materialization is enabled and writes go through a
+  // background writer (the service's shared one, or a private one in
+  // parallel mode) instead of the compute path.
   runtime::AsyncMaterializer* materializer = nullptr;
 
   // --- Memory planning (budget mode; see core/memory_planner.h) ---------
@@ -165,9 +167,22 @@ int64_t ChargeAndMeasure(Clock* clock, int64_t start_micros,
   return clock->NowMicros() - start_micros;
 }
 
+// Waits until no write of any of `signatures` is pending on `materializer`
+// (writing queued ones on this thread) and returns the time that took: 0
+// when nothing was pending.
+int64_t WaitForWrites(runtime::AsyncMaterializer* materializer, Clock* clock,
+                      const std::vector<uint64_t>& signatures) {
+  int64_t start = clock->NowMicros();
+  bool waited = false;
+  for (uint64_t sig : signatures) {
+    waited = materializer->WaitFor(sig) || waited;
+  }
+  return waited ? clock->NowMicros() - start : 0;
+}
+
 // Decides materialization of a freshly computed result and either performs
-// it inline (sequential mode) or hands it to the background writer
-// (parallel mode; the outcome is applied to the record at drain time).
+// it inline (sequential mode without a writer) or hands it to the
+// background writer (the record then says "queued"; the write lands later).
 void MaybeMaterialize(ExecState* st, int node,
                       const dataflow::DataCollection& data,
                       NodeExecution* record) {
@@ -176,8 +191,12 @@ void MaybeMaterialize(ExecState* st, int node,
     return;
   }
   uint64_t sig = st->dag->cumulative_signature(node);
-  if (opts.store->Has(sig)) {
-    return;  // already persisted in an earlier iteration
+  // Bookkeeping probes, not reuse probes: neither touches the store's
+  // hit/miss counters. Pending first, so a write that lands between the
+  // two checks is still seen.
+  if ((st->materializer != nullptr && st->materializer->IsPending(sig)) ||
+      opts.store->GetEntry(sig).has_value()) {
+    return;  // already persisted, or about to be
   }
   const Operator& op = st->dag->op(node);
 
@@ -204,20 +223,23 @@ void MaybeMaterialize(ExecState* st, int node,
     return;
   }
 
+  int64_t start = opts.clock->NowMicros();
   if (st->materializer != nullptr) {
     runtime::AsyncMaterializer::Request request;
-    request.node = node;
     request.signature = sig;
     request.node_name = op.name();
     request.data = data;  // shares the payload; copies a pointer
     request.iteration = opts.iteration;
     request.compute_micros = record->cost_micros;
-    request.owner = opts.materializer_owner;
+    request.stats = opts.stats;
     st->materializer->Enqueue(std::move(request));
+    // Only back-pressure makes Enqueue take measurable time.
+    record->materialized = true;
+    record->materialize_micros = opts.clock->NowMicros() - start;
+    st->materialize_total += record->materialize_micros;
     return;
   }
 
-  int64_t start = opts.clock->NowMicros();
   Status put = opts.store->Put(sig, op.name(), data, opts.iteration,
                                /*write_micros_out=*/nullptr,
                                /*compute_micros=*/record->cost_micros);
@@ -396,26 +418,18 @@ Status ComputeNode(ExecState* st, int node) {
     return InvokeAndRecord(st, node, inputs);
   }
 
-  // Owner. A sibling session may have materialized this signature after
-  // this iteration was planned (the plan said compute because the store
-  // was empty at planning time); re-check and serve a load instead.
-  if (opts.store != nullptr && opts.store->Has(sig)) {
-    int64_t start = opts.clock->NowMicros();
-    auto loaded = opts.store->Get(sig);
-    if (loaded.ok()) {
-      record.state = NodeState::kLoad;
-      record.start_micros = start;
-      record.cost_micros = ChargeAndMeasure(
-          opts.clock, start, op.synthetic_costs().load_micros);
-      record.output_bytes = loaded.value().SizeBytes();
-      st->results[static_cast<size_t>(node)] = std::move(loaded).value();
-      st->produced_once[static_cast<size_t>(node)] = 1;
-      st->AddResident(record.output_bytes);
-      if (opts.stats != nullptr) {
-        std::lock_guard<std::mutex> lock(st->stats_mu);
-        opts.stats->RecordLoad(sig, op.name(), record.cost_micros,
-                               opts.iteration);
-      }
+  // Owner. A sibling session may have materialized (or queued) this
+  // signature after this iteration was planned (the plan said compute
+  // because the store lacked it at planning time); re-check — waiting for
+  // a queued write — and serve a load instead. GetEntry, not Has: this is
+  // not a planning probe, so it must not count as a store hit or miss.
+  if (opts.store != nullptr) {
+    if (st->materializer != nullptr) {
+      st->materialize_total +=
+          WaitForWrites(st->materializer, opts.clock, {sig});
+    }
+    if (opts.store->GetEntry(sig).has_value() &&
+        LoadNodeFromStore(st, node).ok()) {
       opts.inflight->Publish(sig, st->results[static_cast<size_t>(node)]);
       return Status::OK();
     }
@@ -454,34 +468,6 @@ Status ExecutePlannedNode(ExecState* st, int i, NodeState state) {
   return ComputeNode(st, i);
 }
 
-// Applies the background writer's outcomes to the per-node records after
-// the scheduler joined (single-threaded by then).
-void ApplyMaterializationOutcomes(
-    ExecState* st, std::vector<runtime::AsyncMaterializer::Outcome> outcomes) {
-  const ExecutionOptions& opts = *st->opts;
-  for (const runtime::AsyncMaterializer::Outcome& outcome : outcomes) {
-    if (!outcome.status.ok()) {
-      // Same semantics as the inline path: an over-budget (or duplicate)
-      // Put demotes the decision to a skip.
-      HELIX_LOG(Info) << "materialization of " << outcome.node_name
-                      << " skipped: " << outcome.status.ToString();
-      continue;
-    }
-    NodeExecution& record = st->records[static_cast<size_t>(outcome.node)];
-    record.materialized = true;
-    record.materialize_micros = outcome.write_micros;
-    st->materialize_total += outcome.write_micros;
-    if (opts.stats != nullptr) {
-      std::optional<storage::StoreEntry> entry =
-          opts.store->GetEntry(outcome.signature);
-      if (entry.has_value()) {
-        opts.stats->RecordSize(outcome.signature, outcome.node_name,
-                               entry->size_bytes, opts.iteration);
-      }
-    }
-  }
-}
-
 }  // namespace
 
 Result<ExecutionReport> Execute(const WorkflowDag& dag,
@@ -489,6 +475,20 @@ Result<ExecutionReport> Execute(const WorkflowDag& dag,
   const int n = dag.num_nodes();
   const int64_t iteration_start_micros = options.clock->NowMicros();
   ScopedTimer total_timer(options.clock);
+
+  // --- 0. Writes still pending on the shared writer -----------------------
+  // Earlier iterations may have left writes of this DAG's signatures in
+  // flight (write-behind, step 4). Let them land first, so planning sees
+  // the same store and the same recorded sizes as after a full drain.
+  int64_t pending_write_micros = 0;
+  if (options.materializer != nullptr && options.store != nullptr) {
+    std::vector<uint64_t> signatures(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      signatures[static_cast<size_t>(i)] = dag.cumulative_signature(i);
+    }
+    pending_write_micros =
+        WaitForWrites(options.materializer, options.clock, signatures);
+  }
 
   // --- 1. Program slicing -------------------------------------------------
   Slice slice;
@@ -530,8 +530,10 @@ Result<ExecutionReport> Execute(const WorkflowDag& dag,
 
     // Loadability: a store entry keyed by the cumulative signature is, by
     // construction, a valid result of this exact operator-on-these-inputs.
-    if (options.store != nullptr && options.store->Has(sig) &&
-        slice.IsLive(i)) {
+    // Only live nodes are probed: Has is the store's hit/miss probe, and a
+    // sliced node is neither a hit nor a miss.
+    if (options.store != nullptr && slice.IsLive(i) &&
+        options.store->Has(sig)) {
       c.loadable = true;
       if (op.synthetic_costs().load_micros >= 0) {
         c.load_micros = op.synthetic_costs().load_micros;
@@ -643,6 +645,7 @@ Result<ExecutionReport> Execute(const WorkflowDag& dag,
   st.measured_compute = std::vector<std::atomic<int64_t>>(
       static_cast<size_t>(n));
   st.records.resize(static_cast<size_t>(n));
+  st.materialize_total = pending_write_micros;
   st.produced_once.assign(static_cast<size_t>(n), 0);
   st.mem_loadable.assign(static_cast<size_t>(n), 0);
   if (mem_plan.enabled) {
@@ -797,21 +800,31 @@ Result<ExecutionReport> Execute(const WorkflowDag& dag,
       return ExecutePlannedNode(&st, node, plan.state(node));
     });
   }
-  if (st.materializer != nullptr) {
-    // Finish the write pipeline before closing the books — even on an
-    // execution error, so a shared writer never carries this iteration's
-    // outcomes (stale node ids) into the next Drain. Drain writes this
-    // execution's still-queued requests on this thread, alongside the
-    // writer thread; the report's total time honestly includes that tail.
-    // On a shared writer only this execution's owner tag is drained:
-    // sibling sessions' queued requests are neither written, awaited nor
-    // consumed.
-    std::vector<runtime::AsyncMaterializer::Outcome> outcomes =
-        options.materializer != nullptr
-            ? st.materializer->Drain(options.materializer_owner)
-            : st.materializer->Drain();
-    ApplyMaterializationOutcomes(&st, std::move(outcomes));
-    st.materializer = nullptr;
+  if (private_materializer.has_value()) {
+    // A private writer ends with the iteration: its writes land before
+    // the report closes, written on this thread alongside the writer.
+    int64_t start = options.clock->NowMicros();
+    private_materializer->Drain();
+    st.materialize_total += options.clock->NowMicros() - start;
+  } else if (st.materializer != nullptr) {
+    // The shared writer (service layer) is write-behind: the iteration
+    // returns once its operators finish, and its own writes land while
+    // the analyst looks at the result. It waits only for the writes its
+    // session's earlier iteration left pending, helping with them, so a
+    // session never has more than one iteration of writes outstanding.
+    // A memory-budgeted or failed iteration also waits for its own, as a
+    // drain would: the budget then covers the payloads the queue pins,
+    // and a failed iteration hands its session no writes to wait for.
+    std::vector<uint64_t> awaited = options.earlier_writes;
+    if (options.memory_budget_bytes > 0 || !exec_status.ok()) {
+      for (const NodeExecution& record : st.records) {
+        if (record.materialized) {
+          awaited.push_back(record.signature);
+        }
+      }
+    }
+    st.materialize_total +=
+        WaitForWrites(st.materializer, options.clock, awaited);
   }
   HELIX_RETURN_IF_ERROR(exec_status);
 

@@ -16,6 +16,11 @@
 //     that starts a node the moment its last parent finishes, with
 //     materialization writes moved off the compute path onto a background
 //     writer (runtime/async_materializer).
+//
+// With the service's shared writer (ExecutionOptions::materializer) an
+// iteration is write-behind: it returns when its operators finish and
+// its writes land afterwards, while readers of a still-pending signature
+// wait for that one write.
 #ifndef HELIX_CORE_EXECUTOR_H_
 #define HELIX_CORE_EXECUTOR_H_
 
@@ -109,13 +114,19 @@ struct ExecutionOptions {
   runtime::SignatureInflightTable* inflight = nullptr;
   /// External (shared) background writer for materializations; nullptr =
   /// the executor creates a private one in parallel mode and writes
-  /// inline in sequential mode. When set, all materializations of this
-  /// execution are enqueued tagged with `materializer_owner` and drained
-  /// per-owner at the end of the iteration, so concurrent sessions
-  /// sharing one writer never steal or drop each other's outcomes.
+  /// inline in sequential mode. When set, materializations are enqueued on
+  /// it and the execution is write-behind: it returns without waiting for
+  /// its own writes (unless memory_budget_bytes is set or the execution
+  /// failed). Before planning it waits for pending writes of every
+  /// signature in the DAG, and an owner re-checking the store waits for a
+  /// pending write of its signature, so no reader misses a queued result.
   runtime::AsyncMaterializer* materializer = nullptr;
-  /// Owner tag for requests on the shared `materializer` (session id).
-  uint64_t materializer_owner = 0;
+  /// Signatures an earlier execution of the same session queued on the
+  /// shared `materializer` (its nodes with `materialized` set). Execute
+  /// waits for any of them still pending — writing them itself if they
+  /// are still queued — before it returns, which bounds a session's
+  /// outstanding writes to one iteration's worth.
+  std::vector<uint64_t> earlier_writes;
   /// Optional telemetry registry. When set, the executor maintains
   /// `executor.nodes_{computed,loaded,shared,pruned,materialized}`
   /// counters and `executor.{node_compute,node_load,iteration}_micros`
@@ -154,7 +165,14 @@ struct NodeExecution {
   int64_t start_micros = 0;
   int64_t cost_micros = 0;       // compute or load cost actually charged
   int64_t output_bytes = 0;      // serialized size (computed/loaded nodes)
-  bool materialized = false;     // written to the store this iteration
+  /// This iteration decided to store the result and the write was made:
+  /// inline (then it succeeded), or queued on a background writer (then
+  /// it may land after the iteration returns, and a failed write shows
+  /// only as `materializer.writes_failed` and a log line).
+  bool materialized = false;
+  /// Time this iteration itself spent storing this result: the inline
+  /// write, or the (back-pressured) enqueue. Writes done later by the
+  /// writer thread are not charged here.
   int64_t materialize_micros = 0;
   /// Memory planning dropped this node's result at least once (budget
   /// mode only); its span is tagged `dropped`.
@@ -179,7 +197,10 @@ struct ExecutionReport {
   int64_t total_micros = 0;
   /// Time spent inside the recomputation planner.
   int64_t planning_micros = 0;
-  /// Sum of materialization write costs.
+  /// Time the iteration itself spent writing results or waiting for
+  /// pending writes (its own inline writes and enqueues, plus waits for
+  /// and help with writes the shared writer had not landed yet). Work the
+  /// writer thread does while the iteration computes is not included.
   int64_t materialize_micros = 0;
   std::vector<NodeExecution> nodes;
   /// Output name -> result.

@@ -3,6 +3,7 @@
 #include "common/file_util.h"
 #include "common/logging.h"
 #include "core/cse.h"
+#include "runtime/async_materializer.h"
 
 namespace helix {
 namespace core {
@@ -63,6 +64,14 @@ Result<std::unique_ptr<Session>> Session::Open(
   return session;
 }
 
+Session::~Session() {
+  if (options_.shared_materializer != nullptr) {
+    for (uint64_t sig : queued_writes_) {
+      options_.shared_materializer->WaitFor(sig);
+    }
+  }
+}
+
 Result<IterationResult> Session::RunIteration(const Workflow& workflow,
                                               const std::string& description,
                                               ChangeCategory category) {
@@ -89,7 +98,7 @@ Result<IterationResult> Session::RunIteration(const Workflow& workflow,
       options_.enable_materialization ? policy_.get() : nullptr;
   exec.inflight = options_.inflight;
   exec.materializer = options_.shared_materializer;
-  exec.materializer_owner = options_.session_id;
+  exec.earlier_writes = queued_writes_;
   exec.planner = options_.planner;
   exec.enable_slicing = options_.enable_slicing;
   exec.iteration = iteration_;
@@ -104,6 +113,14 @@ Result<IterationResult> Session::RunIteration(const Workflow& workflow,
   exec.trace_pid = options_.session_id;
 
   HELIX_ASSIGN_OR_RETURN(ExecutionReport report, Execute(dag, exec));
+  if (options_.shared_materializer != nullptr) {
+    queued_writes_.clear();
+    for (const NodeExecution& node : report.nodes) {
+      if (node.materialized) {
+        queued_writes_.push_back(node.signature);
+      }
+    }
+  }
 
   // Feed outcomes back to adaptive policies (ReusePredictingPolicy).
   if (options_.enable_materialization && policy_ != nullptr) {

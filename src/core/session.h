@@ -13,6 +13,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/clock.h"
 #include "common/result.h"
@@ -84,10 +85,11 @@ struct SessionOptions {
   storage::CostStatsRegistry* shared_stats = nullptr;
   /// Cross-session block-and-share table (see ExecutionOptions::inflight).
   runtime::SignatureInflightTable* inflight = nullptr;
-  /// Shared background materialization writer; iterations drain only
-  /// their own writes, tagged with `session_id`.
+  /// Shared background materialization writer (see
+  /// ExecutionOptions::materializer): iterations are write-behind, and
+  /// each one waits for the writes its predecessor left pending.
   runtime::AsyncMaterializer* shared_materializer = nullptr;
-  /// Owner tag on the shared materializer (unique per session).
+  /// Session id: the trace lane of this session's spans.
   uint64_t session_id = 0;
 
   // --- Telemetry (optional; see src/obs) ----------------------------------
@@ -116,6 +118,13 @@ class Session {
   /// and statistics across Session objects — re-opening the same
   /// workspace resumes where the previous session left off.
   static Result<std::unique_ptr<Session>> Open(const SessionOptions& options);
+
+  /// Waits for the writes the last iteration left pending on the shared
+  /// materializer: they may record sizes into this session's registry.
+  ~Session();
+
+  Session(const Session&) = delete;
+  Session& operator=(const Session&) = delete;
 
   /// Compiles and executes one workflow version.
   Result<IterationResult> RunIteration(const Workflow& workflow,
@@ -153,6 +162,9 @@ class Session {
   VersionManager versions_;
   std::shared_ptr<MaterializationPolicy> policy_;
   std::optional<WorkflowDag> previous_dag_;
+  /// Signatures the last iteration queued on the shared materializer; the
+  /// next iteration waits for those still pending before it returns.
+  std::vector<uint64_t> queued_writes_;
   int64_t iteration_ = 0;
   int64_t cumulative_micros_ = 0;
 };

@@ -608,6 +608,10 @@ void HelixServer::HandleFetchOutput(
                           EncodeErrorReply(signature.status()));
     return;
   }
+  // The iteration that produced this output may have returned before its
+  // write landed (write-behind), in this session or in a sibling that
+  // shared it through the in-flight table: wait for that one write.
+  service_->materializer()->WaitFor(signature.value());
   Result<dataflow::DataCollection> data =
       service_->store()->Get(signature.value());
   if (!data.ok()) {

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/logging.h"
 #include "obs/metrics.h"
+#include "storage/cost_stats.h"
 
 namespace helix {
 namespace runtime {
@@ -37,9 +39,9 @@ void AsyncMaterializer::Enqueue(Request request) {
                queued_bytes_ + request.size_bytes <= max_queue_bytes_;
       });
     }
-    ++pending_per_owner_[request.owner];
+    ++pending_[request.signature].queued;
     queued_bytes_ += request.size_bytes;
-    queue_.push_back(Queued{std::move(request), next_seq_++});
+    queue_.push_back(std::move(request));
     if (queue_depth_ != nullptr) {
       queue_depth_->Set(static_cast<int64_t>(queue_.size()));
     }
@@ -66,57 +68,42 @@ void AsyncMaterializer::EnableTelemetry(obs::MetricsRegistry* registry,
   writes_failed_ = registry->GetCounter(prefix + ".writes_failed");
 }
 
-template <typename Pred>
-std::vector<AsyncMaterializer::Outcome> AsyncMaterializer::TakeOutcomesLocked(
-    Pred keep) {
-  std::vector<Outcome> out;
-  for (auto it = outcomes_.begin(); it != outcomes_.end();) {
-    if (keep(it->second)) {
-      out.push_back(std::move(it->second));
-      it = outcomes_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  return out;
-}
-
-std::vector<AsyncMaterializer::Outcome> AsyncMaterializer::Drain() {
+void AsyncMaterializer::Drain() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    drained_cv_.wait(lock,
-                     [this]() { return !queue_.empty() || writing_ == 0; });
+    done_cv_.wait(lock, [this]() { return !queue_.empty() || writing_ == 0; });
     if (queue_.empty()) {
-      break;
+      return;
     }
     WriteOne(lock, 0);
   }
-  return TakeOutcomesLocked([](const Outcome&) { return true; });
 }
 
-std::vector<AsyncMaterializer::Outcome> AsyncMaterializer::Drain(
-    uint64_t owner) {
+bool AsyncMaterializer::WaitFor(uint64_t signature) {
   std::unique_lock<std::mutex> lock(mu_);
-  auto first_mine = [this, owner]() {
-    return std::find_if(
-        queue_.begin(), queue_.end(),
-        [owner](const Queued& q) { return q.request.owner == owner; });
-  };
-  for (;;) {
-    // Wakes on every finished write: this owner's last in-flight write
-    // (on the writer thread or a concurrent Drain) may be the one.
-    drained_cv_.wait(lock, [this, owner, &first_mine]() {
-      return pending_per_owner_.count(owner) == 0 ||
-             first_mine() != queue_.end();
-    });
-    auto mine = first_mine();
-    if (mine == queue_.end()) {
-      break;
-    }
-    WriteOne(lock, static_cast<size_t>(mine - queue_.begin()));
+  if (pending_.count(signature) == 0) {
+    return false;
   }
-  return TakeOutcomesLocked(
-      [owner](const Outcome& o) { return o.owner == owner; });
+  for (;;) {
+    // Done, or a request of it is still queued for this thread to write;
+    // otherwise every one is being written elsewhere, so wait for that.
+    done_cv_.wait(lock, [this, signature]() {
+      auto it = pending_.find(signature);
+      return it == pending_.end() || it->second.queued > 0;
+    });
+    if (pending_.count(signature) == 0) {
+      return true;
+    }
+    auto queued = std::find_if(
+        queue_.begin(), queue_.end(),
+        [signature](const Request& r) { return r.signature == signature; });
+    WriteOne(lock, static_cast<size_t>(queued - queue_.begin()));
+  }
+}
+
+bool AsyncMaterializer::IsPending(uint64_t signature) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return pending_.count(signature) > 0;
 }
 
 size_t AsyncMaterializer::Pending() const {
@@ -124,30 +111,25 @@ size_t AsyncMaterializer::Pending() const {
   return queue_.size() + writing_;
 }
 
-size_t AsyncMaterializer::Pending(uint64_t owner) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = pending_per_owner_.find(owner);
-  return it == pending_per_owner_.end() ? 0 : it->second;
-}
-
 void AsyncMaterializer::WriteOne(std::unique_lock<std::mutex>& lock,
                                  size_t index) {
-  Queued queued = std::move(queue_[index]);
+  Request request = std::move(queue_[index]);
   queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(index));
-  const Request& request = queued.request;
   ++writing_;
   if (queue_depth_ != nullptr) {
     queue_depth_->Set(static_cast<int64_t>(queue_.size()));
   }
+  // unordered_map references stay valid until their element is erased,
+  // and only the last finishing request of this signature erases it.
+  PendingWrites& pending = pending_[request.signature];
+  --pending.queued;
+  ++pending.dequeued;
   // A second write of a signature already being written waits for the
-  // first, so its Put sees the stored entry and reports AlreadyExists
+  // first, so its Put sees the stored entry and fails with AlreadyExists
   // (and no duplicate record reaches the backend) — the single-writer
   // outcome.
-  drained_cv_.wait(lock, [this, &request]() {
-    return std::find(writing_signatures_.begin(), writing_signatures_.end(),
-                     request.signature) == writing_signatures_.end();
-  });
-  writing_signatures_.push_back(request.signature);
+  done_cv_.wait(lock, [&pending]() { return !pending.putting; });
+  pending.putting = true;
   // Snapshot telemetry pointers under mu_ — EnableTelemetry also writes
   // them under mu_, so the Put below can report without the lock.
   obs::Histogram* write_micros = write_micros_;
@@ -155,43 +137,50 @@ void AsyncMaterializer::WriteOne(std::unique_lock<std::mutex>& lock,
   obs::Counter* writes_failed = writes_failed_;
   lock.unlock();
 
-  Outcome outcome;
-  outcome.node = request.node;
-  outcome.signature = request.signature;
-  outcome.node_name = request.node_name;
-  outcome.owner = request.owner;
-  outcome.status =
-      store_->Put(request.signature, request.node_name, request.data,
-                  request.iteration, &outcome.write_micros,
-                  request.compute_micros);
-  if (outcome.status.ok()) {
+  int64_t micros = 0;
+  Status status = store_->Put(request.signature, request.node_name,
+                              request.data, request.iteration, &micros,
+                              request.compute_micros);
+  if (status.ok()) {
     if (writes_ok != nullptr) {
       writes_ok->Add(1);
     }
     if (write_micros != nullptr) {
-      write_micros->Observe(outcome.write_micros);
+      write_micros->Observe(micros);
     }
-  } else if (writes_failed != nullptr) {
-    writes_failed->Add(1);
+    // Recorded before the write stops being pending, so a reader that
+    // waited for it also plans with its stored size.
+    if (request.stats != nullptr) {
+      std::optional<storage::StoreEntry> entry =
+          store_->GetEntry(request.signature);
+      if (entry.has_value()) {
+        request.stats->RecordSize(request.signature, request.node_name,
+                                  entry->size_bytes, request.iteration);
+      }
+    }
+  } else {
+    // An over-budget (or duplicate) Put leaves the result unstored: a
+    // skipped materialization, not an error of the iteration.
+    if (writes_failed != nullptr) {
+      writes_failed->Add(1);
+    }
+    HELIX_LOG(Info) << "materialization of " << request.node_name
+                    << " skipped: " << status.ToString();
   }
 
   lock.lock();
   --writing_;
-  writing_signatures_.erase(std::find(writing_signatures_.begin(),
-                                      writing_signatures_.end(),
-                                      request.signature));
   queued_bytes_ -= request.size_bytes;
   if (queue_bytes_ != nullptr) {
     queue_bytes_->Set(queued_bytes_);
   }
-  outcomes_.emplace(queued.seq, std::move(outcome));
-  auto it = pending_per_owner_.find(request.owner);
-  if (it != pending_per_owner_.end() && --it->second == 0) {
-    pending_per_owner_.erase(it);
+  pending.putting = false;
+  if (--pending.dequeued == 0 && pending.queued == 0) {
+    pending_.erase(request.signature);
   }
-  // Per-owner drains must observe every completed write, not just the
+  // Drain and WaitFor must observe every finished write, not just the
   // queue-empty edge; back-pressured producers wake on the freed bytes.
-  drained_cv_.notify_all();
+  done_cv_.notify_all();
   space_cv_.notify_all();
 }
 

@@ -11,38 +11,34 @@
 // happens off the compute path — once, into a size-reserved buffer that
 // is moved (never copied) into the storage backend (see
 // DataCollection::SerializeToString and StorageBackend::Write's
-// move-aware overload). Outcomes are collected and applied to execution
-// records when the caller drains the pipeline at the end of the
-// iteration.
+// move-aware overload).
 //
-// A draining caller has nothing left to compute, so instead of sleeping
-// until the writer thread reaches its requests it writes them itself:
-// Drain pops the caller's oldest queued request and runs the same Put
-// and bookkeeping as the writer thread, which keeps working through the
-// rest of the queue in parallel. At the end of an iteration the backlog
-// is written by two threads rather than one, with no extra thread.
+// A caller that needs writes to land does not sleep until the writer
+// thread reaches them; it writes them itself, alongside the writer
+// thread, running the same Put and bookkeeping:
+//   * Drain writes everything still queued (a private writer's end of
+//     iteration, shutdown, a metrics snapshot);
+//   * WaitFor(signature) writes or waits for the writes of one signature
+//     — how a reader of a result whose write is still pending (the
+//     planner, the owner re-check, a wire fetch) sees it in the store.
 //
 // Multi-session sharing: one materializer may serve many concurrent
-// sessions writing to one shared store (the service layer). Requests
-// carry an `owner` tag, and Drain(owner) waits only for that owner's
-// writes, writes only that owner's requests, and returns only that
-// owner's outcomes — one session finishing its iteration neither blocks
-// on another session's (possibly endless) stream of requests nor steals
-// its outcomes or its work.
+// sessions writing to one shared store (the service layer). No session
+// drains the shared writer: each waits, by signature, only for the writes
+// it is about to read or that it queued itself (see
+// ExecutionOptions::earlier_writes), so one session never blocks on
+// another's stream of requests.
 #ifndef HELIX_RUNTIME_ASYNC_MATERIALIZER_H_
 #define HELIX_RUNTIME_ASYNC_MATERIALIZER_H_
 
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <vector>
 
-#include "common/status.h"
 #include "dataflow/data_collection.h"
 #include "storage/store.h"
 
@@ -58,26 +54,26 @@ namespace runtime {
 
 /// Background writer that persists results to an IntermediateStore off the
 /// compute critical path. The store must be thread-safe (it is — see
-/// storage/store.h). Writes run on the writer thread and on draining
-/// callers, so requests for different signatures may land concurrently;
-/// two requests for the same signature are written one after the other
-/// in dequeue order, so the earlier one wins and the later one reports
-/// AlreadyExists, exactly as with a single writer. Outcomes are returned
-/// in enqueue order.
+/// storage/store.h). Writes run on the writer thread and on callers of
+/// Drain and WaitFor, so requests for different signatures may land
+/// concurrently; two requests for the same signature are written one
+/// after the other in dequeue order, so the earlier one wins and the
+/// later one fails with AlreadyExists, exactly as with a single writer.
 ///
-/// Thread safety: Enqueue/Drain/Pending are safe from any thread;
-/// multiple producers may enqueue concurrently. Ownership: the store is
-/// borrowed and must outlive the materializer; Requests (and their
-/// shared-payload DataCollections) are owned by the queue until written.
-/// Failure modes: a failed Put never aborts the pipeline — the Status is
-/// carried in the corresponding Outcome and the caller decides (the
-/// executor demotes it to a skipped materialization).
+/// Thread safety: every method is safe from any thread; multiple producers
+/// may enqueue concurrently. Ownership: the store is borrowed and must
+/// outlive the materializer; Requests (and their shared-payload
+/// DataCollections) are owned by the queue until written. Failure modes:
+/// a failed Put never aborts the pipeline and is reported to no caller —
+/// it is logged and counted in `<prefix>.writes_failed` (the result then
+/// simply stays unstored and is recomputed when next needed). The
+/// materializer keeps no per-write outcome, so its memory is bounded by
+/// the queue.
 class AsyncMaterializer {
  public:
   /// One pending materialization. `data` shares its payload with the
   /// executor's in-memory result — enqueueing copies a pointer, not data.
   struct Request {
-    int node = -1;  // caller-defined tag (executor: DAG node id)
     uint64_t signature = 0;
     std::string node_name;
     dataflow::DataCollection data;
@@ -85,22 +81,13 @@ class AsyncMaterializer {
     /// Producer's measured compute cost, forwarded to the store for
     /// eviction retention scoring (-1 = unknown).
     int64_t compute_micros = -1;
-    /// Session tag for per-owner draining on a shared materializer
-    /// (0 = the single-session default).
-    uint64_t owner = 0;
+    /// Receives the serialized size of a successful write (nullptr =
+    /// none), so later plans estimate with the bytes actually stored.
+    /// Must outlive the write.
+    storage::CostStatsRegistry* stats = nullptr;
     /// Payload bytes this request keeps alive while queued or writing.
     /// Filled by Enqueue from `data` (callers need not set it).
     int64_t size_bytes = 0;
-  };
-
-  /// Result of one attempted write.
-  struct Outcome {
-    int node = -1;
-    uint64_t signature = 0;
-    std::string node_name;
-    Status status;             // Put's verdict (may be ResourceExhausted)
-    int64_t write_micros = 0;  // measured write cost when status is OK
-    uint64_t owner = 0;        // echo of Request::owner
   };
 
   /// Default Enqueue back-pressure threshold (see max_queue_bytes).
@@ -114,7 +101,7 @@ class AsyncMaterializer {
   explicit AsyncMaterializer(storage::IntermediateStore* store,
                              int64_t max_queue_bytes = kDefaultMaxQueueBytes);
 
-  /// Drains outstanding writes (all owners), then stops the writer thread.
+  /// Writes every outstanding request, then stops the writer thread.
   ~AsyncMaterializer();
 
   AsyncMaterializer(const AsyncMaterializer&) = delete;
@@ -131,26 +118,23 @@ class AsyncMaterializer {
   /// Payload bytes currently held by queued + in-flight requests.
   int64_t QueuedBytes() const;
 
-  /// Writes queued requests — any owner, oldest first — on the calling
-  /// thread alongside the writer thread until none is queued, waits for
-  /// the writes still in flight, then returns (and clears) every outcome
-  /// in enqueue order. Only meaningful for a single-owner materializer:
-  /// under concurrent producers this waits for a momentarily empty queue.
-  std::vector<Outcome> Drain();
+  /// Writes queued requests, oldest first, on the calling thread alongside
+  /// the writer thread until none is queued, then waits for the writes
+  /// still in flight. Under concurrent producers this returns at a
+  /// momentarily empty pipeline.
+  void Drain();
 
-  /// Writes `owner`'s queued requests, oldest first, on the calling
-  /// thread alongside the writer thread, waits for `owner`'s writes still
-  /// in flight, then returns (and clears) that owner's outcomes in
-  /// enqueue order. Other owners' requests are untouched: they are
-  /// neither written nor waited for here nor returned — the writer thread
-  /// writes them and their own Drain returns them.
-  std::vector<Outcome> Drain(uint64_t owner);
+  /// Returns once no write of `signature` is queued or in flight: a queued
+  /// one is written on the calling thread, one in flight elsewhere is
+  /// waited for. Returns whether there was a write to wait for. Writes of
+  /// other signatures are neither written nor waited for here.
+  bool WaitFor(uint64_t signature);
+
+  /// True while a write of `signature` is queued or in flight. O(1).
+  bool IsPending(uint64_t signature) const;
 
   /// Writes queued or executing right now (diagnostics).
   size_t Pending() const;
-
-  /// Writes queued or executing right now for `owner` (diagnostics).
-  size_t Pending(uint64_t owner) const;
 
   /// Registers `<prefix>.queue_depth` / `<prefix>.queue_bytes` (gauges),
   /// `<prefix>.write_micros` (histogram of successful Put latencies) and
@@ -160,40 +144,33 @@ class AsyncMaterializer {
                        const std::string& prefix = "materializer");
 
  private:
-  // A request plus its enqueue sequence number, which orders outcomes.
-  struct Queued {
-    Request request;
-    uint64_t seq = 0;
+  // Requests of one signature that are queued, or dequeued and not yet
+  // finished; at most one of the latter is inside Put at a time.
+  struct PendingWrites {
+    int queued = 0;
+    int dequeued = 0;
+    bool putting = false;
   };
 
   void WriterLoop();
-  // Shared by the writer thread and draining callers: removes
-  // queue_[index], Puts it with mu_ released, and records the outcome.
+  // Shared by the writer thread, Drain and WaitFor: removes
+  // queue_[index], Puts it with mu_ released, and records the result.
   // `lock` holds mu_ on entry and on return.
   void WriteOne(std::unique_lock<std::mutex>& lock, size_t index);
-  // Removes and returns (in enqueue order) the finished outcomes that
-  // `keep` selects.
-  template <typename Pred>
-  std::vector<Outcome> TakeOutcomesLocked(Pred keep);
 
   storage::IntermediateStore* store_;
   const int64_t max_queue_bytes_;
 
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;     // wakes the writer
-  std::condition_variable drained_cv_;  // a write finished (Drain, WriteOne)
-  std::condition_variable space_cv_;    // wakes Enqueue back-pressure waits
-  std::deque<Queued> queue_;
-  uint64_t next_seq_ = 0;
+  std::condition_variable work_cv_;  // wakes the writer
+  std::condition_variable done_cv_;  // a write finished (Drain, WaitFor)
+  std::condition_variable space_cv_;  // wakes Enqueue back-pressure waits
+  std::deque<Request> queue_;
   int64_t queued_bytes_ = 0;  // payload bytes queued + in-flight
-  // Finished writes by enqueue sequence: writers finish out of order.
-  std::map<uint64_t, Outcome> outcomes_;
-  // Queued + in-flight request count per owner; the entry is erased when
-  // it reaches zero, so the map stays bounded by live owners.
-  std::unordered_map<uint64_t, size_t> pending_per_owner_;
-  size_t writing_ = 0;  // requests dequeued and not yet finished
-  // Signatures whose Put is running now (at most one per writing thread).
-  std::vector<uint64_t> writing_signatures_;
+  size_t writing_ = 0;        // requests dequeued and not yet finished
+  // Signature -> its unfinished requests; an entry is erased when its
+  // last request finishes, so the map is bounded by the queue.
+  std::unordered_map<uint64_t, PendingWrites> pending_;
   bool shutdown_ = false;
 
   // Telemetry (null until EnableTelemetry; pointers written under mu_).

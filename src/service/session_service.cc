@@ -135,12 +135,13 @@ Result<std::unique_ptr<SessionService>> SessionService::Open(
 
 SessionService::~SessionService() {
   // Order matters. (1) The pool drains first: queued iterations still
-  // reference sessions, the writer, and the store. (2) The writer drains
-  // next, flushing every acknowledged materialization into the store.
-  // (3) Stats are persisted once everything that could record has
-  // stopped. Members then destroy in reverse declaration order (sessions
-  // before the store).
+  // reference sessions, the writer, and the store. (2) Sessions go next:
+  // each waits on the writer for its last iteration's writes. (3) The
+  // writer drains, flushing every acknowledged materialization into the
+  // store. (4) Stats are persisted once everything that could record has
+  // stopped. Members then destroy in reverse declaration order.
   pool_.reset();
+  sessions_.clear();
   materializer_.reset();
   if (!options_.workspace_dir.empty()) {
     Status saved = SaveStats();
@@ -200,6 +201,9 @@ std::shared_ptr<ServiceSession> SessionService::FindSession(uint64_t id) {
 }
 
 Status SessionService::CloseSession(uint64_t id) {
+  // Destroyed after mu_ is released: a session's destructor may wait for
+  // its last iteration's writes.
+  std::shared_ptr<ServiceSession> closed;
   std::lock_guard<std::mutex> lock(mu_);
   for (auto it = sessions_.begin(); it != sessions_.end(); ++it) {
     if ((*it)->id() != id) {
@@ -216,6 +220,7 @@ Status SessionService::CloseSession(uint64_t id) {
     retired_.cross_session_loads += c.cross_session_loads;
     retired_.saved_micros += c.saved_micros;
     retired_.total_micros += c.total_micros;
+    closed = std::move(*it);
     sessions_.erase(it);  // destruction deferred to the last shared_ptr
     return Status::OK();
   }

@@ -21,9 +21,10 @@
 //     not-yet-materialized intermediate block-and-share instead of
 //     duplicating the computation;
 //   * one AsyncMaterializer         — all sessions' writes funnel through
-//     one background writer; per-owner draining keeps one session's
-//     iteration boundary from blocking on (or consuming) another's
-//     writes.
+//     one background writer, write-behind: an iteration returns when its
+//     operators finish, waits only for the writes its session's previous
+//     iteration left pending, and any reader of a still-pending signature
+//     (planner, owner re-check, FetchOutput) waits for that one write.
 //
 // Lock order (outermost first): service mutex -> per-session run mutex ->
 // executor internals (stats/fallback mutexes) -> in-flight table ->
@@ -263,6 +264,10 @@ class SessionService {
   storage::CostStatsRegistry* stats() { return &stats_; }
   runtime::ThreadPool* pool() { return pool_.get(); }
   runtime::SignatureInflightTable* inflight() { return &inflight_; }
+  /// The shared background writer. Iterations return before their writes
+  /// land: call WaitFor(signature) before reading a result from store(),
+  /// or Drain() before a snapshot that must count every write.
+  runtime::AsyncMaterializer* materializer() { return materializer_.get(); }
   /// Service-wide telemetry: store/pool/writer/in-flight/executor metrics
   /// and per-node execution spans (trace lane = session id). Always live;
   /// snapshot via metrics()->SnapshotJson() / trace()->ToChromeJson().
@@ -280,7 +285,8 @@ class SessionService {
   Clock* clock_ = nullptr;
   // Destruction order (reverse of declaration) matters: sessions_ and the
   // writer go before the store; the destructor additionally drains the
-  // pool first so no queued iteration outlives the sessions it touches.
+  // pool first so no queued iteration outlives the sessions it touches,
+  // then destroys the sessions before the writer they wait on.
   // The telemetry registry and trace come first of all — everything below
   // holds pointers into them, so they must be destroyed last.
   obs::MetricsRegistry metrics_;

@@ -132,13 +132,6 @@ bool IntermediateStore::Has(uint64_t signature) const {
   return present;
 }
 
-const StoreEntry* IntermediateStore::Find(uint64_t signature) const {
-  Shard& shard = ShardFor(signature);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.entries.find(signature);
-  return it == shard.entries.end() ? nullptr : &it->second;
-}
-
 std::optional<StoreEntry> IntermediateStore::GetEntry(
     uint64_t signature) const {
   Shard& shard = ShardFor(signature);

@@ -120,10 +120,6 @@ class IntermediateStore {
   /// True if a valid index entry exists for `signature`.
   bool Has(uint64_t signature) const;
 
-  /// Entry metadata, or nullptr. The pointer is invalidated by any
-  /// concurrent mutation of the store; under concurrency prefer GetEntry.
-  const StoreEntry* Find(uint64_t signature) const;
-
   /// Copy of the entry metadata, or nullopt. Safe under concurrency.
   std::optional<StoreEntry> GetEntry(uint64_t signature) const;
 

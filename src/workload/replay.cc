@@ -295,6 +295,7 @@ Result<ReplayResult> ReplayTrace(const Trace& trace,
   }
   result.wall_micros = clock->NowMicros() - wall_start;
   result.totals = service->AggregateCounters();
+  service->materializer()->Drain();  // count writes still behind
   dataflow::simd::FoldCountersInto(service->metrics());
   result.metrics_json = service->metrics()->SnapshotJson();
   result.trace_json = service->trace()->ToChromeJson();

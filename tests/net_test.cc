@@ -37,6 +37,7 @@
 #include "net/wire.h"
 #include "service/session_service.h"
 #include "synthetic_app.h"
+#include "writer_gate_clock.h"
 
 namespace helix {
 namespace net {
@@ -47,6 +48,7 @@ using testutil::FingerprintOutputs;
 using testutil::OutputFingerprints;
 using testutil::RunTrace;
 using testutil::SyntheticApp;
+using testutil::WriterGateClock;
 
 // --- Framing codec --------------------------------------------------------
 
@@ -1204,6 +1206,163 @@ TEST_F(NetTest, FetchOutputByteIdenticalAcrossCopyPathsAndModes) {
           << variants[v].tag << " output " << i;
     }
   }
+}
+
+// --- FetchOutput of a write still behind ------------------------------------
+
+// A shared-prefix workflow whose "shared" output blocks inside its
+// operator until the test opens the gate, so a second session reaching it
+// meanwhile waits in the in-flight table and is served the owner's result;
+// "own" is a per-session output. Spec params: round (fresh signatures per
+// attempt) and user.
+struct BlockingOutputApp {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool open = false;
+  int started = 0;
+
+  void Reset() {
+    std::lock_guard<std::mutex> lock(mu);
+    open = false;
+    started = 0;
+  }
+  void WaitStarted() {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [this]() { return started > 0; });
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu);
+    open = true;
+    cv.notify_all();
+  }
+
+  WorkflowResolver Resolver() {
+    return [this](const WorkflowSpec& spec) -> Result<core::Workflow> {
+      HELIX_ASSIGN_OR_RETURN(int64_t round, spec.GetInt("round", 0));
+      HELIX_ASSIGN_OR_RETURN(int64_t user, spec.GetInt("user", 0));
+      namespace ops = core::ops;
+      core::Workflow wf("fetch-behind");
+      core::NodeRef source = wf.Add(
+          ops::Synthetic("source", core::Phase::kDataPreprocessing,
+                         1000 + round, core::SyntheticCosts{}, 512));
+      core::NodeRef shared = wf.Add(
+          ops::Reducer(
+              "shared", core::Phase::kDataPreprocessing,
+              static_cast<int>(round),
+              [this](const std::vector<const dataflow::DataCollection*>&
+                         inputs) -> Result<dataflow::DataCollection> {
+                std::unique_lock<std::mutex> lock(mu);
+                ++started;
+                cv.notify_all();
+                cv.wait(lock, [this]() { return open; });
+                auto metrics = std::make_shared<dataflow::MetricsData>();
+                metrics->Set("in", static_cast<double>(
+                                       inputs[0]->Fingerprint() % 100003));
+                return dataflow::DataCollection::FromMetrics(metrics);
+              }),
+          {source});
+      core::NodeRef own = wf.Add(
+          ops::Synthetic("own", core::Phase::kPostprocessing,
+                         round * 100 + user, core::SyntheticCosts{}, 256),
+          {source});
+      wf.MarkOutput(shared);
+      wf.MarkOutput(own);
+      return wf;
+    };
+  }
+};
+
+const RemoteOutput* FindOutput(const RemoteIterationResult& result,
+                               const std::string& name) {
+  for (const RemoteOutput& output : result.outputs) {
+    if (output.name == name) {
+      return &output;
+    }
+  }
+  return nullptr;
+}
+
+// Regression for the FetchOutput NotFound race: an iteration returns
+// before its writes land, so a fetch sent right after RunIteration used
+// to find nothing in the store. With the writer parked inside a Put, every
+// write stays queued; a fetch of the session's own output, and of an
+// output a sibling computed and shared through the in-flight table, must
+// wait for that write (helping with it) and succeed.
+TEST_F(NetTest, FetchOutputWaitsForAWriteStillBehind) {
+  WriterGateClock clock;
+  BlockingOutputApp app;
+  ServerOptions options;
+  options.service.workspace_dir = JoinPath(dir_, "fetch-behind");
+  options.service.num_threads = 2;
+  options.service.clock = &clock;
+  options.service.mat_policy =
+      std::make_shared<core::AlwaysMaterializePolicy>();
+  auto server = HelixServer::Start(options, app.Resolver());
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  testutil::ReleaseOnExit release(&clock);
+  runtime::AsyncMaterializer* writer =
+      (*server)->service()->materializer();
+  testutil::ParkWriter(writer, &clock);
+  std::unique_ptr<HelixClient> clients[2];
+  uint64_t sessions[2];
+  for (int u = 0; u < 2; ++u) {
+    auto client = HelixClient::Connect("127.0.0.1", (*server)->port());
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    clients[u] = std::move(client).value();
+    auto session = clients[u]->OpenSession("user-" + std::to_string(u));
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    sessions[u] = session.value();
+  }
+
+  // Whether the second session shares depends on it reaching the blocked
+  // operator before the gate opens; a slow scheduler gets more attempts.
+  bool shared_seen = false;
+  for (int round = 1; round <= 5 && !shared_seen; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    app.Reset();
+    Result<RemoteIterationResult> results[2] = {Status::Internal("not run"),
+                                                Status::Internal("not run")};
+    auto run = [&](int u) {
+      WorkflowSpec spec;
+      spec.app = "fetch-behind";
+      spec.SetInt("round", round);
+      spec.SetInt("user", u);
+      results[u] = clients[u]->RunIteration(sessions[u], spec, "it",
+                                            ChangeCategory::kInitial);
+    };
+    std::thread owner(run, 0);
+    app.WaitStarted();  // session 0 owns "shared" and is blocked in it
+    std::thread sibling(run, 1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    app.Open();
+    owner.join();
+    sibling.join();
+    for (int u = 0; u < 2; ++u) {
+      ASSERT_TRUE(results[u].ok()) << results[u].status().ToString();
+    }
+    shared_seen = results[1]->num_shared > 0;
+
+    // Fetch order matters: each fetch below is the first reader of a
+    // write that is still queued behind the parked writer.
+    const RemoteOutput* shared = FindOutput(*results[1], "shared");
+    const RemoteOutput* own = FindOutput(*results[0], "own");
+    ASSERT_NE(shared, nullptr);
+    ASSERT_NE(own, nullptr);
+    const std::pair<int, const RemoteOutput*> fetches[] = {{1, shared},
+                                                           {0, own}};
+    for (const auto& [user, output] : fetches) {
+      SCOPED_TRACE(output->name);
+      EXPECT_TRUE(writer->IsPending(output->signature));
+      auto fetched = clients[user]->FetchOutput(output->signature);
+      ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
+      EXPECT_EQ(fetched->Fingerprint(), output->fingerprint);
+      EXPECT_FALSE(writer->IsPending(output->signature));
+    }
+  }
+  EXPECT_TRUE(shared_seen)
+      << "the sibling never shared the blocked output in 5 rounds";
+  clock.Release();
+  (*server)->Stop();
 }
 
 }  // namespace

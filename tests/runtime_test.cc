@@ -7,7 +7,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <map>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -23,7 +22,9 @@
 #include "runtime/async_materializer.h"
 #include "runtime/parallel_scheduler.h"
 #include "runtime/thread_pool.h"
+#include "storage/cost_stats.h"
 #include "storage/store.h"
+#include "writer_gate_clock.h"
 
 namespace helix {
 namespace runtime {
@@ -241,12 +242,26 @@ TEST(ParallelDagSchedulerTest, WideFanoutOverlapsWork) {
 
 // --- AsyncMaterializer ------------------------------------------------------
 
+using testutil::WriterGateClock;
+
 DataCollection MakeCollection(const std::string& content, int rows = 1) {
   auto table = std::make_shared<TableData>(Schema::AllStrings({"v"}));
   for (int i = 0; i < rows; ++i) {
     EXPECT_TRUE(table->AppendRow({Value(content)}).ok());
   }
   return DataCollection::FromTable(table);
+}
+
+AsyncMaterializer::Request MakeRequest(uint64_t signature,
+                                       const std::string& content = "",
+                                       int rows = 1) {
+  AsyncMaterializer::Request request;
+  request.signature = signature;
+  request.node_name = "n" + std::to_string(signature);
+  request.data = MakeCollection(
+      content.empty() ? "payload-" + std::to_string(signature) : content,
+      rows);
+  return request;
 }
 
 class AsyncMaterializerTest : public ::testing::Test {
@@ -259,58 +274,65 @@ class AsyncMaterializerTest : public ::testing::Test {
   void TearDown() override { (void)RemoveDirRecursively(dir_); }
 
   std::unique_ptr<storage::IntermediateStore> OpenStore(
-      int64_t budget = 1 << 20) {
+      int64_t budget = 1 << 20, Clock* clock = SystemClock::Default()) {
     storage::StoreOptions options;
     options.budget_bytes = budget;
+    options.clock = clock;
     auto store = storage::IntermediateStore::Open(dir_, options);
     EXPECT_TRUE(store.ok()) << store.status().ToString();
     return std::move(store).value();
   }
 
+  int64_t Count(const std::string& name) {
+    return metrics_.GetCounter("materializer." + name)->Value();
+  }
+
   std::string dir_;
+  obs::MetricsRegistry metrics_;
 };
 
-TEST_F(AsyncMaterializerTest, WritesLandInStoreAndDrainReportsThem) {
+TEST_F(AsyncMaterializerTest, WritesLandInStoreAndRecordStoredSizes) {
   auto store = OpenStore();
+  storage::CostStatsRegistry stats;
   AsyncMaterializer materializer(store.get());
+  materializer.EnableTelemetry(&metrics_);
   for (int i = 0; i < 4; ++i) {
-    AsyncMaterializer::Request request;
-    request.node = i;
-    request.signature = 100 + static_cast<uint64_t>(i);
-    request.node_name = "node" + std::to_string(i);
-    request.data = MakeCollection("payload" + std::to_string(i));
+    AsyncMaterializer::Request request = MakeRequest(100 + i);
     request.iteration = 7;
+    request.stats = &stats;
     materializer.Enqueue(std::move(request));
   }
-  std::vector<AsyncMaterializer::Outcome> outcomes = materializer.Drain();
-  ASSERT_EQ(outcomes.size(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    const auto& outcome = outcomes[static_cast<size_t>(i)];
-    EXPECT_EQ(outcome.node, i);  // outcomes come back in enqueue order
-    EXPECT_TRUE(outcome.status.ok()) << outcome.status.ToString();
-    EXPECT_GE(outcome.write_micros, 0);
-    EXPECT_TRUE(store->Has(outcome.signature));
-    auto entry = store->GetEntry(outcome.signature);
+  materializer.Drain();
+  EXPECT_EQ(Count("writes_ok"), 4);
+  EXPECT_EQ(Count("writes_failed"), 0);
+  for (uint64_t sig = 100; sig < 104; ++sig) {
+    auto entry = store->GetEntry(sig);
     ASSERT_TRUE(entry.has_value());
     EXPECT_EQ(entry->iteration, 7);
+    // The serialized size, not the in-memory estimate, reaches the stats.
+    auto recorded = stats.Get(sig);
+    ASSERT_TRUE(recorded.has_value());
+    EXPECT_EQ(recorded->size_bytes, entry->size_bytes);
+    EXPECT_FALSE(materializer.IsPending(sig));
   }
   EXPECT_EQ(materializer.Pending(), 0u);
 }
 
-TEST_F(AsyncMaterializerTest, OverBudgetWriteSurfacesResourceExhausted) {
+TEST_F(AsyncMaterializerTest, OverBudgetWriteIsCountedAsFailed) {
   auto store = OpenStore(/*budget=*/16);  // nothing real fits
+  storage::CostStatsRegistry stats;
   AsyncMaterializer materializer(store.get());
-  AsyncMaterializer::Request request;
-  request.node = 0;
-  request.signature = 42;
-  request.node_name = "big";
-  request.data = MakeCollection("way too large for sixteen bytes", 64);
+  materializer.EnableTelemetry(&metrics_);
+  AsyncMaterializer::Request request =
+      MakeRequest(42, "way too large for sixteen bytes", 64);
+  request.stats = &stats;
   materializer.Enqueue(std::move(request));
-  std::vector<AsyncMaterializer::Outcome> outcomes = materializer.Drain();
-  ASSERT_EQ(outcomes.size(), 1u);
-  EXPECT_TRUE(outcomes[0].status.IsResourceExhausted());
-  EXPECT_FALSE(store->Has(42));
+  materializer.Drain();
+  EXPECT_EQ(Count("writes_ok"), 0);
+  EXPECT_EQ(Count("writes_failed"), 1);
+  EXPECT_FALSE(store->GetEntry(42).has_value());
   EXPECT_EQ(store->TotalBytes(), 0);
+  EXPECT_EQ(stats.size(), 0u);  // no size for a result that is not stored
 }
 
 TEST_F(AsyncMaterializerTest, DestructorFinishesOutstandingWrites) {
@@ -318,33 +340,23 @@ TEST_F(AsyncMaterializerTest, DestructorFinishesOutstandingWrites) {
   {
     AsyncMaterializer materializer(store.get());
     for (int i = 0; i < 8; ++i) {
-      AsyncMaterializer::Request request;
-      request.node = i;
-      request.signature = 200 + static_cast<uint64_t>(i);
-      request.node_name = "n" + std::to_string(i);
-      request.data = MakeCollection("data", 4);
-      materializer.Enqueue(std::move(request));
+      materializer.Enqueue(MakeRequest(200 + i, "data", 4));
     }
     // Destroyed with writes likely still queued.
   }
   EXPECT_EQ(store->NumEntries(), 8u);
 }
 
-TEST_F(AsyncMaterializerTest, DuplicateSignatureReportsAlreadyExists) {
+TEST_F(AsyncMaterializerTest, DuplicateSignatureFailsWithAlreadyExists) {
   auto store = OpenStore();
   AsyncMaterializer materializer(store.get());
+  materializer.EnableTelemetry(&metrics_);
   for (int i = 0; i < 2; ++i) {
-    AsyncMaterializer::Request request;
-    request.node = i;
-    request.signature = 7;  // same key twice
-    request.node_name = "dup";
-    request.data = MakeCollection("same");
-    materializer.Enqueue(std::move(request));
+    materializer.Enqueue(MakeRequest(7, "same"));  // same key twice
   }
-  std::vector<AsyncMaterializer::Outcome> outcomes = materializer.Drain();
-  ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_TRUE(outcomes[0].status.ok());
-  EXPECT_TRUE(outcomes[1].status.IsAlreadyExists());
+  materializer.Drain();
+  EXPECT_EQ(Count("writes_ok"), 1);
+  EXPECT_EQ(Count("writes_failed"), 1);
   EXPECT_EQ(store->NumEntries(), 1u);
 }
 
@@ -377,327 +389,196 @@ TEST_F(AsyncMaterializerTest, StoreSurvivesConcurrentAccess) {
   EXPECT_EQ(store->TotalBytes(), 0);
 }
 
-// --- Shared-writer (multi-session) semantics --------------------------------
+// --- WaitFor: readers of a pending signature --------------------------------
 
-// Regression for the shared-pool shutdown-ordering bug: with one writer
-// serving several sessions, a session draining its own iteration must not
-// consume (drop) another session's outcomes. The legacy Drain() cleared
-// the whole outcome buffer — session 2's outcomes vanished into session
-// 1's drain.
-TEST_F(AsyncMaterializerTest, PerOwnerDrainPartitionsOutcomes) {
-  auto store = OpenStore();
+// WaitFor(signature) writes that signature's queued request on the calling
+// thread — it returns while the writer thread is held inside another Put —
+// and leaves every other request queued for the writer thread.
+TEST_F(AsyncMaterializerTest, WaitForWritesOnlyItsSignature) {
+  WriterGateClock clock;
+  auto store = OpenStore(1 << 20, &clock);
   AsyncMaterializer materializer(store.get());
-  for (int i = 0; i < 6; ++i) {
-    AsyncMaterializer::Request request;
-    request.node = i;
-    request.signature = 300 + static_cast<uint64_t>(i);
-    request.node_name = "n" + std::to_string(i);
-    request.data = MakeCollection("owner-tagged" + std::to_string(i));
-    request.owner = static_cast<uint64_t>(1 + i % 2);  // interleaved 1,2,1,2…
-    materializer.Enqueue(std::move(request));
+  materializer.Enqueue(MakeRequest(900));  // the writer thread takes this
+  clock.WaitUntilWriterParked();
+  materializer.Enqueue(MakeRequest(901));
+  materializer.Enqueue(MakeRequest(910));
+  materializer.Enqueue(MakeRequest(902));
+  EXPECT_TRUE(materializer.IsPending(910));
+
+  EXPECT_TRUE(materializer.WaitFor(910));
+  EXPECT_TRUE(store->GetEntry(910).has_value());
+  EXPECT_FALSE(materializer.IsPending(910));
+  // Nothing pending for a signature never queued (or already written).
+  EXPECT_FALSE(materializer.WaitFor(999));
+  EXPECT_FALSE(materializer.WaitFor(910));
+  // The others are untouched: one held in the writer's Put, two queued.
+  EXPECT_EQ(materializer.Pending(), 3u);
+  for (uint64_t sig : {900, 901, 902}) {
+    EXPECT_TRUE(materializer.IsPending(sig)) << sig;
+    EXPECT_FALSE(store->GetEntry(sig).has_value()) << sig;
   }
-  std::vector<AsyncMaterializer::Outcome> one = materializer.Drain(1);
-  ASSERT_EQ(one.size(), 3u);
-  for (size_t i = 0; i < one.size(); ++i) {
-    EXPECT_EQ(one[i].owner, 1u);
-    EXPECT_EQ(one[i].node, static_cast<int>(2 * i));  // enqueue order kept
-    EXPECT_TRUE(one[i].status.ok()) << one[i].status.ToString();
-  }
-  // Session 2's outcomes survived session 1's drain.
-  std::vector<AsyncMaterializer::Outcome> two = materializer.Drain(2);
-  ASSERT_EQ(two.size(), 3u);
-  for (const auto& outcome : two) {
-    EXPECT_EQ(outcome.owner, 2u);
-    EXPECT_TRUE(outcome.status.ok()) << outcome.status.ToString();
-  }
-  EXPECT_TRUE(materializer.Drain(1).empty());
-  EXPECT_TRUE(materializer.Drain(2).empty());
-  EXPECT_EQ(store->NumEntries(), 6u);
+
+  clock.Release();
+  materializer.Drain();
+  EXPECT_EQ(materializer.Pending(), 0u);
+  EXPECT_EQ(store->NumEntries(), 4u);
+}
+
+// A write already in flight on another thread is waited for, not raced:
+// WaitFor returns only after the held writer finishes it.
+TEST_F(AsyncMaterializerTest, WaitForBlocksOnAWriteInFlightElsewhere) {
+  WriterGateClock clock;
+  auto store = OpenStore(1 << 20, &clock);
+  AsyncMaterializer materializer(store.get());
+  materializer.Enqueue(MakeRequest(50));
+  clock.WaitUntilWriterParked();  // inside the Put of 50
+  std::atomic<bool> returned{false};
+  std::thread reader([&]() {
+    EXPECT_TRUE(materializer.WaitFor(50));
+    returned.store(true);
+    EXPECT_TRUE(store->GetEntry(50).has_value());
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(returned.load());
+  EXPECT_TRUE(materializer.IsPending(50));
+  clock.Release();
+  reader.join();
+  EXPECT_TRUE(returned.load());
   EXPECT_EQ(materializer.Pending(), 0u);
 }
 
-// Draining one owner must not wait on another owner's continuing stream
-// of requests: Drain(1) returns once owner 1's writes are attempted, even
-// while owner 2 keeps the queue busy.
-TEST_F(AsyncMaterializerTest, DrainOneOwnerWhileAnotherKeepsEnqueueing) {
+// WaitFor never waits on another producer's continuing stream of
+// requests: it returns once its own signatures are written, even while a
+// second producer keeps the queue busy.
+TEST_F(AsyncMaterializerTest, WaitForReturnsWhileAnotherProducerEnqueues) {
   auto store = OpenStore();
   AsyncMaterializer materializer(store.get());
+  materializer.EnableTelemetry(&metrics_);
   std::atomic<bool> stop{false};
-  std::atomic<int> enqueued_by_two{0};
+  std::atomic<int> enqueued_by_other{0};
   std::thread other([&]() {
     for (int i = 0; i < 400 && !stop.load(); ++i) {
-      AsyncMaterializer::Request request;
-      request.node = i;
-      request.signature = 10000 + static_cast<uint64_t>(i);
-      request.node_name = "bg";
-      request.data = MakeCollection("bg" + std::to_string(i));
-      request.owner = 2;
-      materializer.Enqueue(std::move(request));
-      enqueued_by_two.fetch_add(1);
+      materializer.Enqueue(MakeRequest(10000 + i));
+      enqueued_by_other.fetch_add(1);
       std::this_thread::yield();
     }
   });
   for (int i = 0; i < 5; ++i) {
-    AsyncMaterializer::Request request;
-    request.node = i;
-    request.signature = 500 + static_cast<uint64_t>(i);
-    request.node_name = "fg";
-    request.data = MakeCollection("fg" + std::to_string(i));
-    request.owner = 1;
-    materializer.Enqueue(std::move(request));
+    materializer.Enqueue(MakeRequest(500 + i));
   }
-  std::vector<AsyncMaterializer::Outcome> mine = materializer.Drain(1);
+  for (uint64_t sig = 500; sig < 505; ++sig) {
+    materializer.WaitFor(sig);
+    EXPECT_TRUE(store->GetEntry(sig).has_value()) << sig;
+  }
   stop.store(true);
   other.join();
-  ASSERT_EQ(mine.size(), 5u);
-  for (const auto& outcome : mine) {
-    EXPECT_EQ(outcome.owner, 1u);
-    EXPECT_TRUE(outcome.status.ok()) << outcome.status.ToString();
-  }
-  // Owner 2's acknowledged writes are all eventually applied and
-  // drainable — nothing was dropped by owner 1's drain.
-  std::vector<AsyncMaterializer::Outcome> theirs = materializer.Drain(2);
-  EXPECT_EQ(theirs.size(),
-            static_cast<size_t>(enqueued_by_two.load()));
-  for (const auto& outcome : theirs) {
-    EXPECT_EQ(outcome.owner, 2u);
-  }
+  // The other producer's writes are all eventually applied.
+  materializer.Drain();
+  EXPECT_EQ(Count("writes_ok"), 5 + enqueued_by_other.load());
+  EXPECT_EQ(store->NumEntries(), 5u + enqueued_by_other.load());
 }
 
-// --- Draining callers write their own backlog ------------------------------
-
-// A store clock that parks the first thread, other than the one that
-// created it, to time a store write — the materializer's writer thread,
-// inside its first Put — until Release(). Every other thread passes, so a
-// test can prove which work a draining caller does on its own thread.
-class WriterGateClock final : public Clock {
- public:
-  int64_t NowMicros() const override {
-    std::unique_lock<std::mutex> lock(mu_);
-    const std::thread::id self = std::this_thread::get_id();
-    if (self != creator_ && !released_ &&
-        (held_ == std::thread::id() || held_ == self)) {
-      held_ = self;
-      parked_ = true;
-      cv_.notify_all();
-      cv_.wait(lock, [this]() { return released_; });
-    }
-    return SystemClock::Default()->NowMicros();
-  }
-  void AdvanceMicros(int64_t /*micros*/) override {}
-  bool is_virtual() const override { return false; }
-
-  void WaitUntilWriterParked() const {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this]() { return parked_; });
-  }
-  void Release() {
-    std::lock_guard<std::mutex> lock(mu_);
-    released_ = true;
-    cv_.notify_all();
-  }
-
- private:
-  const std::thread::id creator_ = std::this_thread::get_id();
-  mutable std::mutex mu_;
-  mutable std::condition_variable cv_;
-  mutable std::thread::id held_;
-  mutable bool parked_ = false;
-  bool released_ = false;
-};
-
-void EnqueueTagged(AsyncMaterializer* materializer, uint64_t owner, int node,
-                   uint64_t signature) {
-  AsyncMaterializer::Request request;
-  request.node = node;
-  request.signature = signature;
-  request.node_name = "o" + std::to_string(owner);
-  request.data = MakeCollection("payload-" + std::to_string(signature));
-  request.owner = owner;
-  materializer->Enqueue(std::move(request));
-}
-
-// Drain(owner) writes its own queued requests on the calling thread — it
-// finishes while the writer thread is held inside a sibling's Put — and
-// leaves every sibling request queued for the writer thread, whose own
-// Drain still returns them.
-TEST_F(AsyncMaterializerTest, DrainWritesOnlyItsOwnersRequests) {
-  WriterGateClock clock;
-  storage::StoreOptions options;
-  options.budget_bytes = 1 << 20;
-  options.clock = &clock;
-  auto store = storage::IntermediateStore::Open(dir_, options);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  AsyncMaterializer materializer(store.value().get());
-  for (int i = 0; i < 3; ++i) {
-    EnqueueTagged(&materializer, 2, i, 900 + static_cast<uint64_t>(i));
-  }
-  for (int i = 0; i < 3; ++i) {
-    EnqueueTagged(&materializer, 1, i, 910 + static_cast<uint64_t>(i));
-  }
-  clock.WaitUntilWriterParked();  // inside owner 2's first Put
-
-  std::vector<AsyncMaterializer::Outcome> mine = materializer.Drain(1);
-  ASSERT_EQ(mine.size(), 3u);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(mine[static_cast<size_t>(i)].owner, 1u);
-    EXPECT_EQ(mine[static_cast<size_t>(i)].node, i);
-    EXPECT_TRUE(mine[static_cast<size_t>(i)].status.ok());
-    EXPECT_TRUE(store.value()->Has(910 + static_cast<uint64_t>(i)));
-  }
-  // Owner 2's requests are untouched: one held in the writer's Put, two
-  // still queued.
-  EXPECT_EQ(materializer.Pending(1), 0u);
-  EXPECT_EQ(materializer.Pending(2), 3u);
-  EXPECT_EQ(materializer.Pending(), 3u);
-  EXPECT_FALSE(store.value()->Has(901));
-  EXPECT_FALSE(store.value()->Has(902));
-
-  clock.Release();
-  std::vector<AsyncMaterializer::Outcome> theirs = materializer.Drain(2);
-  ASSERT_EQ(theirs.size(), 3u);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(theirs[static_cast<size_t>(i)].owner, 2u);
-    EXPECT_EQ(theirs[static_cast<size_t>(i)].node, i);
-    EXPECT_TRUE(theirs[static_cast<size_t>(i)].status.ok());
-  }
-  EXPECT_EQ(materializer.Pending(), 0u);
-}
-
-// A draining caller that dequeues a signature the writer thread is still
-// writing waits for that write instead of racing it: the earlier request
-// wins and the later one reports AlreadyExists, as behind one writer.
+// A caller that dequeues a signature the writer thread is still writing
+// waits for that write instead of racing it: the earlier request wins and
+// the later one fails with AlreadyExists, as behind one writer.
 TEST_F(AsyncMaterializerTest, SameSignatureWritesStayInDequeueOrder) {
   WriterGateClock clock;
-  storage::StoreOptions options;
-  options.budget_bytes = 1 << 20;
-  options.clock = &clock;
-  auto store = storage::IntermediateStore::Open(dir_, options);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  obs::MetricsRegistry metrics;
-  AsyncMaterializer materializer(store.value().get());
-  materializer.EnableTelemetry(&metrics);
-  obs::Gauge* queue_depth = metrics.GetGauge("materializer.queue_depth");
-  EnqueueTagged(&materializer, 0, 0, 77);
-  clock.WaitUntilWriterParked();  // the writer is inside node 0's Put
-  EnqueueTagged(&materializer, 0, 1, 77);
-  std::vector<AsyncMaterializer::Outcome> outcomes;
-  std::thread drain([&]() { outcomes = materializer.Drain(); });
-  while (queue_depth->Value() != 0) {  // the drain has dequeued node 1
+  auto store = OpenStore(1 << 20, &clock);
+  AsyncMaterializer materializer(store.get());
+  materializer.EnableTelemetry(&metrics_);
+  obs::Gauge* queue_depth = metrics_.GetGauge("materializer.queue_depth");
+  materializer.Enqueue(MakeRequest(77));
+  clock.WaitUntilWriterParked();  // the writer is inside the first Put
+  materializer.Enqueue(MakeRequest(77));
+  std::thread drain([&]() { materializer.Drain(); });
+  while (queue_depth->Value() != 0) {  // the drain has dequeued the second
     std::this_thread::yield();
   }
   clock.Release();
   drain.join();
-  ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_TRUE(outcomes[0].status.ok()) << outcomes[0].status.ToString();
-  EXPECT_TRUE(outcomes[1].status.IsAlreadyExists())
-      << outcomes[1].status.ToString();
-  EXPECT_EQ(store.value()->NumEntries(), 1u);
+  EXPECT_EQ(Count("writes_ok"), 1);
+  EXPECT_EQ(Count("writes_failed"), 1);
+  EXPECT_EQ(store->NumEntries(), 1u);
+  EXPECT_FALSE(materializer.IsPending(77));
 }
 
-// Two concurrent Drain(owner) calls and the writer thread share the
-// backlog; each drain returns exactly its owner's outcomes and the
-// Pending counts come out exact — including the one request the held
-// writer thread is still working on.
-TEST_F(AsyncMaterializerTest, ConcurrentOwnerDrainsAndWriterKeepPendingExact) {
+// Two concurrent WaitFor callers and the writer thread share the backlog;
+// each writes exactly its own signatures, and Pending stays exact —
+// including the one request the held writer thread is still working on.
+TEST_F(AsyncMaterializerTest, ConcurrentWaitForsAndWriterKeepPendingExact) {
   WriterGateClock clock;
-  storage::StoreOptions options;
-  options.budget_bytes = 8 << 20;
-  options.clock = &clock;
-  auto store = storage::IntermediateStore::Open(dir_, options);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  AsyncMaterializer materializer(store.value().get());
-  EnqueueTagged(&materializer, 3, 0, 2000);  // the writer thread takes this
+  auto store = OpenStore(8 << 20, &clock);
+  AsyncMaterializer materializer(store.get());
+  materializer.Enqueue(MakeRequest(2000));  // the writer thread takes this
   clock.WaitUntilWriterParked();
-  constexpr int kPerOwner = 25;
-  for (int i = 0; i < kPerOwner; ++i) {
-    EnqueueTagged(&materializer, 1, i, 3000 + static_cast<uint64_t>(i));
-    EnqueueTagged(&materializer, 2, i, 4000 + static_cast<uint64_t>(i));
+  constexpr int kPerCaller = 25;
+  for (int i = 0; i < kPerCaller; ++i) {
+    materializer.Enqueue(MakeRequest(3000 + i));
+    materializer.Enqueue(MakeRequest(4000 + i));
   }
-  std::vector<AsyncMaterializer::Outcome> one;
-  std::vector<AsyncMaterializer::Outcome> two;
-  std::thread drain_one([&]() { one = materializer.Drain(1); });
-  std::thread drain_two([&]() { two = materializer.Drain(2); });
-  drain_one.join();
-  drain_two.join();
-  for (const auto* outcomes : {&one, &two}) {
-    ASSERT_EQ(outcomes->size(), static_cast<size_t>(kPerOwner));
-    for (int i = 0; i < kPerOwner; ++i) {
-      const auto& outcome = (*outcomes)[static_cast<size_t>(i)];
-      EXPECT_EQ(outcome.owner, outcomes == &one ? 1u : 2u);
-      EXPECT_EQ(outcome.node, i);  // enqueue order
-      EXPECT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+  auto wait_range = [&](uint64_t first) {
+    for (uint64_t sig = first; sig < first + kPerCaller; ++sig) {
+      EXPECT_TRUE(materializer.WaitFor(sig)) << sig;
     }
-  }
-  EXPECT_EQ(materializer.Pending(1), 0u);
-  EXPECT_EQ(materializer.Pending(2), 0u);
-  EXPECT_EQ(materializer.Pending(3), 1u);
+  };
+  std::thread one([&]() { wait_range(3000); });
+  std::thread two([&]() { wait_range(4000); });
+  one.join();
+  two.join();
+  EXPECT_EQ(store->NumEntries(), 2u * kPerCaller);
   EXPECT_EQ(materializer.Pending(), 1u);
+  EXPECT_TRUE(materializer.IsPending(2000));
+  EXPECT_GT(materializer.QueuedBytes(), 0);
 
   clock.Release();
-  std::vector<AsyncMaterializer::Outcome> three = materializer.Drain(3);
-  ASSERT_EQ(three.size(), 1u);
-  EXPECT_TRUE(three[0].status.ok());
+  EXPECT_TRUE(materializer.WaitFor(2000));
   EXPECT_EQ(materializer.Pending(), 0u);
   EXPECT_EQ(materializer.QueuedBytes(), 0);
-  EXPECT_EQ(store.value()->NumEntries(), 1u + 2u * kPerOwner);
+  EXPECT_EQ(store->NumEntries(), 1u + 2u * kPerCaller);
 }
 
-// Under concurrent producers and drains, every outcome is returned exactly
-// once, by its own owner's Drain, and a signature shared across owners is
-// stored exactly once: one OK, every other attempt AlreadyExists.
-TEST_F(AsyncMaterializerTest, EveryOutcomeReturnedExactlyOnce) {
+// Under concurrent producers that each wait for their own signatures,
+// every request is written exactly once and a signature shared across
+// producers is stored exactly once: one write succeeds, every other
+// attempt fails with AlreadyExists.
+TEST_F(AsyncMaterializerTest, EveryRequestWrittenExactlyOnce) {
   auto store = OpenStore(/*budget=*/8 << 20);
   AsyncMaterializer materializer(store.get());
-  constexpr int kOwners = 3;
+  materializer.EnableTelemetry(&metrics_);
+  constexpr int kProducers = 3;
   constexpr int kRounds = 4;
   constexpr int kPerRound = 12;
-  std::vector<std::vector<AsyncMaterializer::Outcome>> drained(kOwners);
-  std::vector<std::thread> sessions;
-  for (int o = 0; o < kOwners; ++o) {
-    sessions.emplace_back([&, o]() {
-      const uint64_t owner = static_cast<uint64_t>(o + 1);
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p]() {
       for (int round = 0; round < kRounds; ++round) {
+        std::vector<uint64_t> mine;
         for (int i = 0; i < kPerRound; ++i) {
           int node = round * kPerRound + i;
-          // Even nodes collide across owners; odd nodes are private.
+          // Even nodes collide across producers; odd nodes are private.
           uint64_t sig = node % 2 == 0
                              ? 6000 + static_cast<uint64_t>(node)
-                             : 7000 + owner * 1000 + static_cast<uint64_t>(node);
-          EnqueueTagged(&materializer, owner, node, sig);
+                             : 7000 + (p + 1) * 1000 +
+                                   static_cast<uint64_t>(node);
+          materializer.Enqueue(MakeRequest(sig));
+          mine.push_back(sig);
         }
-        for (auto& outcome : materializer.Drain(owner)) {
-          drained[static_cast<size_t>(o)].push_back(std::move(outcome));
+        for (uint64_t sig : mine) {
+          materializer.WaitFor(sig);
+          EXPECT_TRUE(store->GetEntry(sig).has_value()) << sig;
         }
       }
     });
   }
-  for (std::thread& session : sessions) {
-    session.join();
+  for (std::thread& producer : producers) {
+    producer.join();
   }
-  EXPECT_TRUE(materializer.Drain().empty());
-  std::map<uint64_t, int> ok_per_signature;
-  for (int o = 0; o < kOwners; ++o) {
-    const auto& outcomes = drained[static_cast<size_t>(o)];
-    ASSERT_EQ(outcomes.size(), static_cast<size_t>(kRounds * kPerRound));
-    for (size_t i = 0; i < outcomes.size(); ++i) {
-      EXPECT_EQ(outcomes[i].owner, static_cast<uint64_t>(o + 1));
-      EXPECT_EQ(outcomes[i].node, static_cast<int>(i));  // once, in order
-      if (outcomes[i].status.ok()) {
-        ++ok_per_signature[outcomes[i].signature];
-      } else {
-        EXPECT_TRUE(outcomes[i].status.IsAlreadyExists())
-            << outcomes[i].status.ToString();
-      }
-    }
-  }
-  const size_t distinct = kRounds * kPerRound / 2 * (1 + kOwners);
-  EXPECT_EQ(ok_per_signature.size(), distinct);
-  for (const auto& [sig, oks] : ok_per_signature) {
-    EXPECT_EQ(oks, 1) << sig;
-  }
-  EXPECT_EQ(store->NumEntries(), distinct);
   EXPECT_EQ(materializer.Pending(), 0u);
+  const int64_t distinct = kRounds * kPerRound / 2 * (1 + kProducers);
+  EXPECT_EQ(Count("writes_ok"), distinct);
+  EXPECT_EQ(Count("writes_ok") + Count("writes_failed"),
+            kProducers * kRounds * kPerRound);
+  EXPECT_EQ(store->NumEntries(), static_cast<size_t>(distinct));
 }
 
 // Regression for the unbounded-queue RAM spike: a burst of large Puts used
@@ -706,29 +587,20 @@ TEST_F(AsyncMaterializerTest, EveryOutcomeReturnedExactlyOnce) {
 // `materializer.queue_bytes` gauge) stays under the bound.
 TEST_F(AsyncMaterializerTest, ByteBudgetBoundsQueuedPayloadBytes) {
   auto store = OpenStore(/*budget=*/8 << 20);
-  obs::MetricsRegistry metrics;
   DataCollection payload = MakeCollection(std::string(1000, 'p'), 16);
   int64_t unit = payload.SizeBytes();
   // Room for one queued-or-in-flight request, never two.
   const int64_t bound = unit + unit / 2;
   AsyncMaterializer materializer(store.get(), bound);
-  materializer.EnableTelemetry(&metrics);
+  materializer.EnableTelemetry(&metrics_);
   for (int i = 0; i < 8; ++i) {
-    AsyncMaterializer::Request request;
-    request.node = i;
-    request.signature = 700 + static_cast<uint64_t>(i);
-    request.node_name = "n" + std::to_string(i);
-    request.data = MakeCollection(std::string(1000, 'p'), 16);
-    materializer.Enqueue(std::move(request));
+    materializer.Enqueue(MakeRequest(700 + i, std::string(1000, 'p'), 16));
   }
-  std::vector<AsyncMaterializer::Outcome> outcomes = materializer.Drain();
-  ASSERT_EQ(outcomes.size(), 8u);
-  for (const auto& outcome : outcomes) {
-    EXPECT_TRUE(outcome.status.ok()) << outcome.status.ToString();
-  }
+  materializer.Drain();
+  EXPECT_EQ(Count("writes_ok"), 8);
   // The gauge's high-water mark proves the bound actually held while the
   // writes raced through — not just at the quiescent ends.
-  obs::Gauge* queue_bytes = metrics.GetGauge("materializer.queue_bytes");
+  obs::Gauge* queue_bytes = metrics_.GetGauge("materializer.queue_bytes");
   EXPECT_GE(queue_bytes->Max(), unit);  // something was actually queued
   EXPECT_LE(queue_bytes->Max(), bound);
   EXPECT_EQ(materializer.QueuedBytes(), 0);
@@ -740,24 +612,15 @@ TEST_F(AsyncMaterializerTest, ByteBudgetBoundsQueuedPayloadBytes) {
 TEST_F(AsyncMaterializerTest, OversizedRequestIsAdmittedAloneNotDeadlocked) {
   auto store = OpenStore(/*budget=*/8 << 20);
   AsyncMaterializer materializer(store.get(), /*max_queue_bytes=*/256);
-  AsyncMaterializer::Request small;
-  small.node = 0;
-  small.signature = 800;
-  small.node_name = "small";
-  small.data = MakeCollection("s");
-  materializer.Enqueue(std::move(small));
-  AsyncMaterializer::Request big;
-  big.node = 1;
-  big.signature = 801;
-  big.node_name = "big";
-  big.data = MakeCollection(std::string(1000, 'q'), 64);  // >> 256 bytes
+  materializer.EnableTelemetry(&metrics_);
+  materializer.Enqueue(MakeRequest(800, "s"));
+  AsyncMaterializer::Request big =
+      MakeRequest(801, std::string(1000, 'q'), 64);  // >> 256 bytes
   EXPECT_GT(big.data.SizeBytes(), 256);
   materializer.Enqueue(std::move(big));  // must return, not hang
-  std::vector<AsyncMaterializer::Outcome> outcomes = materializer.Drain();
-  ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_TRUE(outcomes[0].status.ok()) << outcomes[0].status.ToString();
-  EXPECT_TRUE(outcomes[1].status.ok()) << outcomes[1].status.ToString();
-  EXPECT_TRUE(store->Has(801));
+  materializer.Drain();
+  EXPECT_EQ(Count("writes_ok"), 2);
+  EXPECT_TRUE(store->GetEntry(801).has_value());
   EXPECT_EQ(materializer.QueuedBytes(), 0);
 }
 

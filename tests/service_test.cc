@@ -19,8 +19,12 @@
 #include "common/file_util.h"
 #include "core/materialization.h"
 #include "core/session.h"
+#include "core/std_ops.h"
+#include "obs/metrics.h"
 #include "service/session_service.h"
+#include "storage/store.h"
 #include "synthetic_app.h"
+#include "writer_gate_clock.h"
 
 namespace helix {
 namespace service {
@@ -32,6 +36,7 @@ using testutil::FingerprintOutputs;
 using testutil::OutputFingerprints;
 using testutil::RunTrace;
 using testutil::SyntheticApp;
+using testutil::WriterGateClock;
 
 class ServiceTest : public ::testing::Test {
  protected:
@@ -218,6 +223,216 @@ TEST_F(ServiceTest, CountersStayPerSession) {
   EXPECT_EQ((*idle)->counters().iterations, 0);
   EXPECT_EQ((*idle)->counters().num_computed, 0);
   EXPECT_EQ((*service)->num_sessions(), 2u);
+}
+
+// --- Write-behind materialization -------------------------------------------
+
+ChangeCategory CategoryOf(int iteration) {
+  return iteration == 0 ? ChangeCategory::kInitial
+                        : ChangeCategory::kMachineLearning;
+}
+
+std::vector<uint64_t> MaterializedSignatures(
+    const core::ExecutionReport& report) {
+  std::vector<uint64_t> out;
+  for (const core::NodeExecution& node : report.nodes) {
+    if (node.materialized) {
+      out.push_back(node.signature);
+    }
+  }
+  return out;
+}
+
+// An iteration on the shared writer returns when its operators finish:
+// RunIteration comes back while the writer thread is parked inside a Put
+// and this iteration's writes are all still queued. The next iteration
+// finds them pending before it plans, writes them itself, and loads them
+// instead of recomputing; and once it returns nothing from the earlier
+// iteration is pending any more, while its own writes are.
+TEST_F(ServiceTest, WriteBehindIterationsReturnBeforeTheirWritesLand) {
+  WriterGateClock clock;
+  SyntheticApp app(0x5EED);
+  ServiceOptions options;
+  options.workspace_dir = JoinPath(dir_, "write-behind");
+  options.num_threads = 1;
+  options.clock = &clock;
+  options.mat_policy = std::make_shared<core::AlwaysMaterializePolicy>();
+  auto service = SessionService::Open(options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  testutil::ReleaseOnExit release(&clock);
+  runtime::AsyncMaterializer* writer = (*service)->materializer();
+  testutil::ParkWriter(writer, &clock);
+  auto session = (*service)->CreateSession("analyst");
+  ASSERT_TRUE(session.ok());
+
+  std::vector<std::vector<uint64_t>> queued;
+  for (int i = 0; i < 3; ++i) {
+    SCOPED_TRACE("iteration " + std::to_string(i));
+    auto result = (*service)->RunIteration(*session, app.Build(i), "it",
+                                           CategoryOf(i));
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const core::ExecutionReport& report = result->report;
+    queued.push_back(MaterializedSignatures(report));
+    ASSERT_FALSE(queued.back().empty());
+    // This iteration's writes are still behind: the writer is parked.
+    for (uint64_t sig : queued.back()) {
+      EXPECT_TRUE(writer->IsPending(sig));
+      EXPECT_FALSE((*service)->store()->GetEntry(sig).has_value());
+    }
+    if (i == 0) {
+      continue;
+    }
+    // No request of an earlier iteration is pending once this one returns.
+    for (size_t k = 0; k + 1 < queued.size(); ++k) {
+      for (uint64_t sig : queued[k]) {
+        EXPECT_FALSE(writer->IsPending(sig));
+        EXPECT_TRUE((*service)->store()->GetEntry(sig).has_value());
+      }
+    }
+    // The ML edit keeps source/prep/feat. Their writes were pending when
+    // this iteration started, and it planned as over a drained store:
+    // load the frontier, prune what lies behind it, recompute nothing.
+    const std::pair<const char*, core::NodeState> planned[] = {
+        {"source", core::NodeState::kPrune},
+        {"prep", core::NodeState::kPrune},
+        {"feat", core::NodeState::kLoad}};
+    for (const auto& [name, state] : planned) {
+      const core::NodeExecution* node = report.FindNode(name);
+      ASSERT_NE(node, nullptr) << name;
+      EXPECT_EQ(node->state, state) << name;
+    }
+    EXPECT_EQ(report.num_computed, 2);  // model and eval
+  }
+}
+
+// Nothing queued is lost when a session closes with its last iteration's
+// writes still behind — closing writes them — or when the service shuts
+// down with an open session's writes behind: a reopened store holds every
+// signature any iteration queued.
+TEST_F(ServiceTest, NoQueuedWriteLostAcrossCloseSessionAndShutdown) {
+  SyntheticApp app(0x10C4);
+  std::string ws = JoinPath(dir_, "no-loss");
+  std::vector<uint64_t> queued;
+  {
+    WriterGateClock clock;
+    ServiceOptions options;
+    options.workspace_dir = ws;
+    options.num_threads = 1;
+    options.clock = &clock;
+    options.mat_policy = std::make_shared<core::AlwaysMaterializePolicy>();
+    auto service = SessionService::Open(options);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    testutil::ReleaseOnExit release(&clock);
+    testutil::ParkWriter((*service)->materializer(), &clock);
+    for (int s = 0; s < 2; ++s) {
+      auto session = (*service)->CreateSession("");
+      ASSERT_TRUE(session.ok());
+      std::vector<uint64_t> last;
+      for (int i = 0; i < 2; ++i) {
+        auto result = (*service)->RunIteration(
+            *session, app.Build(10 * s + i), "it", CategoryOf(i));
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        last = MaterializedSignatures(result->report);
+        queued.insert(queued.end(), last.begin(), last.end());
+      }
+      for (uint64_t sig : last) {
+        EXPECT_TRUE((*service)->materializer()->IsPending(sig));
+      }
+      if (s == 0) {
+        ASSERT_TRUE((*service)->CloseSession((*session)->id()).ok());
+        for (uint64_t sig : last) {
+          EXPECT_TRUE((*service)->store()->GetEntry(sig).has_value());
+        }
+      }
+    }
+    // The open session's last writes are still behind the parked writer
+    // (plus the parked request): shutdown must write them.
+    EXPECT_GT((*service)->materializer()->Pending(), 1u);
+  }
+  ASSERT_FALSE(queued.empty());
+  auto store = storage::IntermediateStore::Open(JoinPath(ws, "store"),
+                                                storage::StoreOptions());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  for (uint64_t sig : queued) {
+    EXPECT_TRUE((*store)->GetEntry(sig).has_value()) << sig;
+  }
+}
+
+// Write-behind changes when writes land, never what an iteration
+// computes: two concurrent sessions through the service produce the
+// outputs of a reuse-free (PlannerKind::kNoReuse) execution, seed by seed.
+TEST_F(ServiceTest, WriteBehindFingerprintsMatchNoReuse) {
+  constexpr int kSeeds = 10;
+  constexpr int kSessions = 2;
+  constexpr int kIterations = 4;
+  for (int seed = 0; seed < kSeeds; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    SyntheticApp app(0xB0B + static_cast<uint64_t>(seed) * 104729);
+    std::vector<OutputFingerprints> expected;
+    {
+      core::SessionOptions options;
+      options.planner = core::PlannerKind::kNoReuse;
+      options.enable_materialization = false;
+      options.max_parallelism = 1;
+      auto session = core::Session::Open(options);
+      ASSERT_TRUE(session.ok()) << session.status().ToString();
+      for (int i = 0; i < kIterations; ++i) {
+        auto result =
+            (*session)->RunIteration(app.Build(i), "ref", CategoryOf(i));
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        expected.push_back(FingerprintOutputs(result->report));
+      }
+    }
+    RunTrace shared;
+    testutil::RunShared(JoinPath(dir_, "seed-" + std::to_string(seed)), app,
+                        kSessions, kIterations, &shared, nullptr);
+    if (::testing::Test::HasFatalFailure()) {
+      return;
+    }
+    for (size_t s = 0; s < shared.outputs.size(); ++s) {
+      ASSERT_EQ(shared.outputs[s].size(), expected.size());
+      for (size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(shared.outputs[s][i], expected[i])
+            << "session " << s << " iteration " << i;
+      }
+    }
+  }
+}
+
+// Has() is the store's reuse probe, so store.hits + store.misses must
+// count each live node exactly once per iteration: bookkeeping probes
+// (materialization, the owner re-check) and nodes the slicer removed do
+// not count.
+TEST_F(ServiceTest, StoreHitsPlusMissesCountLiveNodesOnce) {
+  SyntheticApp app(0xC0DE);
+  ServiceOptions options;
+  options.workspace_dir = JoinPath(dir_, "hit-miss");
+  options.num_threads = 1;
+  options.mat_policy = std::make_shared<core::AlwaysMaterializePolicy>();
+  auto service = SessionService::Open(options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  auto session = (*service)->CreateSession("");
+  ASSERT_TRUE(session.ok());
+  obs::Counter* hits = (*service)->metrics()->GetCounter("store.hits");
+  obs::Counter* misses = (*service)->metrics()->GetCounter("store.misses");
+  for (int i = 0; i < 4; ++i) {
+    SCOPED_TRACE("iteration " + std::to_string(i));
+    Workflow wf = app.Build(i);
+    // A dead end the slicer removes: live in no plan, probed by no one.
+    wf.Add(core::ops::Synthetic("unused", core::Phase::kPostprocessing,
+                                100 + i, core::SyntheticCosts{}),
+           {wf.Find("feat")});
+    int64_t probes_before = hits->Value() + misses->Value();
+    auto result = (*service)->RunIteration(*session, wf, "it", CategoryOf(i));
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    int64_t live = 0;
+    for (const core::NodeExecution& node : result->report.nodes) {
+      live += node.sliced ? 0 : 1;
+    }
+    ASSERT_LT(live, static_cast<int64_t>(result->report.nodes.size()));
+    EXPECT_EQ(hits->Value() + misses->Value() - probes_before, live);
+  }
+  EXPECT_GT(hits->Value(), 0);
 }
 
 }  // namespace

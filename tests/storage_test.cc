@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <thread>
 
 #include "common/file_util.h"
@@ -368,8 +369,8 @@ TEST_F(StoreTest, PersistsAcrossReopen) {
   }
   auto store = OpenStore();
   EXPECT_TRUE(store->Has(0xFEED));
-  const StoreEntry* entry = store->Find(0xFEED);
-  ASSERT_NE(entry, nullptr);
+  std::optional<StoreEntry> entry = store->GetEntry(0xFEED);
+  ASSERT_TRUE(entry.has_value());
   EXPECT_EQ(entry->node_name, "node");
   EXPECT_EQ(entry->iteration, 3);
   EXPECT_EQ(entry->compute_micros, 12345);  // retention input survives too
@@ -648,8 +649,8 @@ TEST_F(StoreTest, FingerprintRecordedInEntry) {
   auto store = OpenStore();
   DataCollection data = MakeCollection("fp");
   ASSERT_TRUE(store->Put(9, "n", data, 0).ok());
-  const StoreEntry* entry = store->Find(9);
-  ASSERT_NE(entry, nullptr);
+  std::optional<StoreEntry> entry = store->GetEntry(9);
+  ASSERT_TRUE(entry.has_value());
   EXPECT_EQ(entry->fingerprint, data.Fingerprint());
 }
 

@@ -87,6 +87,19 @@ def check_metrics(path, require_server):
     expect("materializer.queue_bytes" in gauges,
            "metrics: materializer.queue_bytes gauge missing")
 
+    # Every materialization the executor queued was attempted by the
+    # shared writer exactly once. Iterations return before their writes
+    # land, so this holds only for a snapshot taken after the writer
+    # drained: the in-process driver drains before it dumps metrics, while
+    # a remote snapshot (--require-server) is taken with writes in flight.
+    if not require_server:
+        attempted = (counters.get("materializer.writes_ok", 0) +
+                     counters.get("materializer.writes_failed", 0))
+        queued = counters.get("executor.nodes_materialized", 0)
+        expect(attempted == queued,
+               "metrics: materializer.writes_ok + writes_failed (%d) != "
+               "executor.nodes_materialized (%d)" % (attempted, queued))
+
     # The pool queued work.
     wait = histograms.get("pool.task_wait_micros", {})
     expect(wait.get("count", 0) > 0,

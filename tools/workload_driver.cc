@@ -405,6 +405,9 @@ void Run(const DriverConfig& config) {
       trace_json = bench::ValueOrDie(clients[0]->GetTraceJson(),
                                      "remote trace");
     } else {
+      // Iterations return before their writes land (write-behind); drain
+      // so the writer's counters cover every write the executor queued.
+      services[0]->materializer()->Drain();
       // Kernel invocation counters live in simd-layer globals; fold the
       // deltas in so the dump shows which ISA path did the work. (The
       // remote path's GetMetrics handler does the same server-side.)
