@@ -108,6 +108,16 @@ class ByteWriter {
   std::string buf_;
 };
 
+/// Little-endian u64 at `p` (8 readable bytes; no bounds check). The
+/// shift loop compiles to one load on little-endian hosts.
+inline uint64_t LoadU64LE(const char* p) {
+  uint64_t v = 0;
+  for (int i = 7; i >= 0; --i) {
+    v = (v << 8) | static_cast<uint8_t>(p[i]);
+  }
+  return v;
+}
+
 /// Bounds-checked reader over a byte buffer.
 class ByteReader {
  public:
@@ -137,11 +147,7 @@ class ByteReader {
     if (pos_ + 8 > data_.size()) {
       return Truncated("u64");
     }
-    uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) {
-      v = (v << 8) |
-          static_cast<uint8_t>(data_[pos_ + static_cast<size_t>(i)]);
-    }
+    uint64_t v = LoadU64LE(data_.data() + pos_);
     pos_ += 8;
     return v;
   }
@@ -174,6 +180,20 @@ class ByteReader {
     std::string out(data_.substr(pos_, len));
     pos_ += len;
     return out;
+  }
+
+  /// Reads a u64 element count and bounds it by the bytes left: each
+  /// element takes at least `min_element_bytes` (> 0) encoded bytes, so a
+  /// count above remaining() / min_element_bytes cannot be honest. A
+  /// decoder may then reserve the count without trusting the input — a
+  /// corrupt count is Corruption, never a huge allocation.
+  Result<size_t> GetCount(size_t min_element_bytes, const char* what) {
+    HELIX_ASSIGN_OR_RETURN(uint64_t n, GetU64());
+    if (n > remaining() / min_element_bytes) {
+      return Status::Corruption(std::string(what) +
+                                " count exceeds the remaining bytes");
+    }
+    return static_cast<size_t>(n);
   }
 
   /// Borrowed view of the next `len` raw bytes (no copy); the view aliases

@@ -280,18 +280,19 @@ Status LoadNodeFromStore(ExecState* st, int node) {
   uint64_t sig = dag.cumulative_signature(node);
   int64_t start = options.clock->NowMicros();
   auto loaded = options.store->Get(sig);
-  if (loaded.ok() && options.paranoid_checks) {
-    std::optional<storage::StoreEntry> entry = options.store->GetEntry(sig);
-    if (entry.has_value() && entry->fingerprint != 0 &&
-        entry->fingerprint != loaded.value().Fingerprint()) {
-      (void)options.store->Remove(sig);
-      loaded = Status::Corruption("fingerprint mismatch for " + op.name());
-    }
-  }
   if (!loaded.ok()) {
     return loaded.status();
   }
+  // An entry evicted since the Get leaves no fingerprint to pass on (0).
+  std::optional<storage::StoreEntry> entry = options.store->GetEntry(sig);
+  uint64_t stored_fingerprint = entry.has_value() ? entry->fingerprint : 0;
+  if (options.paranoid_checks && stored_fingerprint != 0 &&
+      stored_fingerprint != loaded.value().Fingerprint()) {
+    (void)options.store->Remove(sig);
+    return Status::Corruption("fingerprint mismatch for " + op.name());
+  }
   record.state = NodeState::kLoad;
+  record.stored_fingerprint = stored_fingerprint;
   record.start_micros = start;
   record.cost_micros = ChargeAndMeasure(options.clock, start,
                                         op.synthetic_costs().load_micros);
@@ -356,6 +357,7 @@ Status InvokeAndRecord(
 
   NodeExecution& record = st->records[static_cast<size_t>(node)];
   record.state = NodeState::kCompute;
+  record.stored_fingerprint = 0;
   record.start_micros = start;
   record.cost_micros = cost;
   record.output_bytes = data.SizeBytes();
@@ -402,6 +404,7 @@ Status ComputeNode(ExecState* st, int node) {
     if (shared.ok()) {
       record.state = NodeState::kLoad;
       record.shared = true;
+      record.stored_fingerprint = 0;
       record.start_micros = start;
       record.cost_micros = opts.clock->NowMicros() - start;
       record.output_bytes = shared.value().SizeBytes();

@@ -165,6 +165,12 @@ struct NodeExecution {
   int64_t start_micros = 0;
   int64_t cost_micros = 0;       // compute or load cost actually charged
   int64_t output_bytes = 0;      // serialized size (computed/loaded nodes)
+  /// Fingerprint of the result as recorded in the store entry it was
+  /// loaded from (StoreEntry::fingerprint, hashed once when the result
+  /// was written), so a caller can report it without re-hashing every
+  /// cell. 0 when the result was computed or shared in this iteration, or
+  /// when the entry carries no fingerprint: then hash the result itself.
+  uint64_t stored_fingerprint = 0;
   /// This iteration decided to store the result and the write was made:
   /// inline (then it succeeded), or queued on a background writer (then
   /// it may land after the iteration returns, and a failed write shows

@@ -85,17 +85,6 @@ void Column::Serialize(ByteWriter* w) const {
   SerializeBody(w);
 }
 
-void Column::SerializeToSpans(SpanWriter* s) const {
-  ByteWriter* w = s->writer();
-  w->PutU8(static_cast<uint8_t>(storage()));
-  bool has_validity = !validity_.empty();
-  w->PutU8(has_validity ? 1 : 0);
-  if (has_validity) {
-    s->Borrow(validity_.data(), validity_.size());
-  }
-  SerializeBodyToSpans(s);
-}
-
 // --- Int64Column -------------------------------------------------------------
 
 Value Int64Column::GetValue(int64_t i) const {
@@ -125,14 +114,6 @@ std::shared_ptr<const Column> Int64Column::Gather(
 void Int64Column::SerializeBody(ByteWriter* w) const {
   w->PutU64Array(reinterpret_cast<const uint64_t*>(values_.data()),
                  values_.size());
-}
-
-void Int64Column::SerializeBodyToSpans(SpanWriter* s) const {
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-  s->Borrow(values_.data(), values_.size() * sizeof(int64_t));
-#else
-  SerializeBody(s->writer());  // big-endian hosts byte-swap per element
-#endif
 }
 
 // --- DoubleColumn ------------------------------------------------------------
@@ -167,14 +148,6 @@ void DoubleColumn::SerializeBody(ByteWriter* w) const {
                  values_.size());
 }
 
-void DoubleColumn::SerializeBodyToSpans(SpanWriter* s) const {
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-  s->Borrow(values_.data(), values_.size() * sizeof(double));
-#else
-  SerializeBody(s->writer());
-#endif
-}
-
 // --- BoolColumn --------------------------------------------------------------
 
 Value BoolColumn::GetValue(int64_t i) const {
@@ -202,10 +175,6 @@ std::shared_ptr<const Column> BoolColumn::Gather(
 
 void BoolColumn::SerializeBody(ByteWriter* w) const {
   w->PutRaw(values_.data(), values_.size());
-}
-
-void BoolColumn::SerializeBodyToSpans(SpanWriter* s) const {
-  s->Borrow(values_.data(), values_.size());
 }
 
 // --- StringColumn ------------------------------------------------------------
@@ -244,16 +213,6 @@ void StringColumn::SerializeBody(ByteWriter* w) const {
   w->PutU64(arena_.size());
   w->PutRaw(arena_.data(), arena_.size());
   w->PutU64Array(offsets_.data(), offsets_.size());
-}
-
-void StringColumn::SerializeBodyToSpans(SpanWriter* s) const {
-  s->writer()->PutU64(arena_.size());
-  s->Borrow(arena_.data(), arena_.size());
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-  s->Borrow(offsets_.data(), offsets_.size() * sizeof(uint64_t));
-#else
-  s->writer()->PutU64Array(offsets_.data(), offsets_.size());
-#endif
 }
 
 // --- DictionaryColumn --------------------------------------------------------
@@ -313,19 +272,6 @@ void DictionaryColumn::SerializeBody(ByteWriter* w) const {
   w->PutRaw(dict_->arena.data(), dict_->arena.size());
   w->PutU64Array(dict_->offsets.data(), dict_->offsets.size());
   w->PutU32Array(codes_.data(), codes_.size());
-}
-
-void DictionaryColumn::SerializeBodyToSpans(SpanWriter* s) const {
-  s->writer()->PutU64(static_cast<uint64_t>(dict_->num_entries()));
-  s->writer()->PutU64(dict_->arena.size());
-  s->Borrow(dict_->arena.data(), dict_->arena.size());
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-  s->Borrow(dict_->offsets.data(), dict_->offsets.size() * sizeof(uint64_t));
-  s->Borrow(codes_.data(), codes_.size() * sizeof(uint32_t));
-#else
-  s->writer()->PutU64Array(dict_->offsets.data(), dict_->offsets.size());
-  s->writer()->PutU32Array(codes_.data(), codes_.size());
-#endif
 }
 
 // --- MixedColumn -------------------------------------------------------------

@@ -24,7 +24,6 @@
 
 #include "common/bytes.h"
 #include "common/result.h"
-#include "common/spans.h"
 #include "dataflow/value.h"
 
 namespace helix {
@@ -91,11 +90,6 @@ class Column {
   /// body. Row count comes from the enclosing table header.
   void Serialize(ByteWriter* w) const;
 
-  /// Same byte stream as Serialize, emitted as spans: header fields go
-  /// through the scratch writer, large bodies are borrowed zero-copy.
-  /// The column must outlive the span list.
-  void SerializeToSpans(SpanWriter* s) const;
-
   /// Parses one format-v2 column of `num_rows` cells.
   static Result<std::shared_ptr<const Column>> Deserialize(ByteReader* r,
                                                            int64_t num_rows);
@@ -108,12 +102,6 @@ class Column {
 
   /// Packed cell body (everything after tag + validity).
   virtual void SerializeBody(ByteWriter* w) const = 0;
-
-  /// Span form of SerializeBody; the default copies through the scratch
-  /// writer, contiguous-body columns override to borrow.
-  virtual void SerializeBodyToSpans(SpanWriter* s) const {
-    SerializeBody(s->writer());
-  }
 
   int64_t length_ = 0;
   /// Bit i set == cell i valid; empty == all valid. (length+7)/8 bytes.
@@ -142,7 +130,6 @@ class Int64Column final : public Column {
 
  protected:
   void SerializeBody(ByteWriter* w) const override;
-  void SerializeBodyToSpans(SpanWriter* s) const override;
 
  private:
   std::vector<int64_t> values_;
@@ -169,7 +156,6 @@ class DoubleColumn final : public Column {
 
  protected:
   void SerializeBody(ByteWriter* w) const override;
-  void SerializeBodyToSpans(SpanWriter* s) const override;
 
  private:
   std::vector<double> values_;
@@ -195,7 +181,6 @@ class BoolColumn final : public Column {
 
  protected:
   void SerializeBody(ByteWriter* w) const override;
-  void SerializeBodyToSpans(SpanWriter* s) const override;
 
  private:
   std::vector<uint8_t> values_;
@@ -225,7 +210,6 @@ class StringColumn final : public Column {
 
  protected:
   void SerializeBody(ByteWriter* w) const override;
-  void SerializeBodyToSpans(SpanWriter* s) const override;
 
  private:
   std::string arena_;
@@ -288,7 +272,6 @@ class DictionaryColumn final : public Column {
 
  protected:
   void SerializeBody(ByteWriter* w) const override;
-  void SerializeBodyToSpans(SpanWriter* s) const override;
 
  private:
   std::shared_ptr<const StringDict> dict_;

@@ -19,6 +19,8 @@ constexpr uint32_t kMagic = 0x44584C48;
 // still-supported older version.
 constexpr uint32_t kFormatVersion = 2;
 constexpr uint32_t kMinSupportedVersion = 1;
+// 4 (magic) + 4 (version) + 1 (kind) + body + 8 (checksum).
+constexpr size_t kEnvelopeOverheadBytes = 4 + 4 + 1 + 8;
 }  // namespace
 
 Result<const TableData*> DataCollection::AsTable() const {
@@ -73,33 +75,14 @@ std::string DataCollection::SerializeToString() const {
   return std::move(w).TakeData();
 }
 
-void DataCollection::SerializeToSpans(SpanWriter* s) const {
-  size_t start = s->TotalBytes();
-  ByteWriter* w = s->writer();
-  w->PutU32(kMagic);
-  w->PutU32(kFormatVersion);
-  w->PutU8(static_cast<uint8_t>(kind()));
-  payload_->SerializeToSpans(s);
-  // Stream the checksum over the emitted spans — the same digest hashing
-  // the flattened buffer would produce. Bytes the caller wrote before the
-  // envelope (e.g. a reply status prefix) are skipped.
-  uint64_t checksum = kFnvOffsetBasis;
-  size_t skip = start;
-  for (const ByteSpan& span : s->spans()) {
-    if (skip >= span.len) {
-      skip -= span.len;
-      continue;
-    }
-    checksum = FnvHash64(span.data + skip, span.len - skip, checksum);
-    skip = 0;
-  }
-  s->writer()->PutU64(checksum);
-}
-
 Result<DataCollection> DataCollection::DeserializeFromString(
     std::string_view data) {
-  // Envelope: 4 (magic) + 4 (version) + 1 (kind) + body + 8 (checksum).
-  if (data.size() < 4 + 4 + 1 + 8) {
+  HELIX_RETURN_IF_ERROR(VerifyEnvelope(data));
+  return ParseEnvelope(data);
+}
+
+Status DataCollection::VerifyEnvelope(std::string_view data) {
+  if (data.size() < kEnvelopeOverheadBytes) {
     return Status::Corruption("data collection buffer too short");
   }
   std::string_view body = data.substr(0, data.size() - 8);
@@ -112,7 +95,14 @@ Result<DataCollection> DataCollection::DeserializeFromString(
                   static_cast<unsigned long long>(stored_checksum),
                   static_cast<unsigned long long>(actual_checksum)));
   }
+  return Status::OK();
+}
 
+Result<DataCollection> DataCollection::ParseEnvelope(std::string_view data) {
+  if (data.size() < kEnvelopeOverheadBytes) {
+    return Status::Corruption("data collection buffer too short");
+  }
+  std::string_view body = data.substr(0, data.size() - 8);
   ByteReader r(body);
   HELIX_ASSIGN_OR_RETURN(uint32_t magic, r.GetU32());
   if (magic != kMagic) {

@@ -3,8 +3,9 @@
 // In the paper every DAG node is an intermediate result; here that result is
 // a DataCollection — a cheap, shareable handle to an immutable payload. The
 // serialization envelope (magic, version, kind tag, body, trailing checksum)
-// is what the materialization store writes to disk; deserialization verifies
-// the checksum so a corrupt store entry degrades to recomputation.
+// is what the materialization store writes to disk; deserialization of bytes
+// read back from disk or the wire verifies the checksum so a corrupt store
+// entry degrades to recomputation.
 #ifndef HELIX_DATAFLOW_DATA_COLLECTION_H_
 #define HELIX_DATAFLOW_DATA_COLLECTION_H_
 
@@ -78,21 +79,24 @@ class DataCollection {
   /// serializes in one allocation.
   std::string SerializeToString() const;
 
-  /// Zero-copy variant of SerializeToString: appends the identical
-  /// envelope bytes to `s` as a span list, borrowing column bodies from
-  /// the in-memory payload instead of copying them. The payload (this
-  /// handle, or another share of it) must stay alive until the spans are
-  /// consumed. The trailing checksum is computed by streaming over the
-  /// emitted spans, so Flatten() of the list deserializes like a
-  /// SerializeToString buffer. Bytes already in `s` are left untouched
-  /// and excluded from the checksum.
-  void SerializeToSpans(SpanWriter* s) const;
-
-  /// Parses and checksum-verifies an envelope produced by
+  /// Checksum-verifies and then parses an envelope produced by
   /// SerializeToString — this version's (v2) or any still-supported older
   /// one (v1 row-major tables), so stores persisted by previous builds
-  /// keep loading. Corruption on any mismatch.
+  /// keep loading. Corruption on any mismatch. This is VerifyEnvelope
+  /// followed by ParseEnvelope: use it for bytes that crossed a trust
+  /// boundary (disk, the wire).
   static Result<DataCollection> DeserializeFromString(std::string_view data);
+
+  /// The verify step alone: OK iff `data` is long enough to be an
+  /// envelope and its trailing FNV-64 checksum matches the bytes before
+  /// it. Touches every byte once.
+  static Status VerifyEnvelope(std::string_view data);
+
+  /// The parse step alone, for bytes this process serialized and kept in
+  /// its own memory (the memory backend): skips the checksum pass but
+  /// still checks magic, version and every bound, so malformed input is
+  /// Corruption, never a crash. The result does not alias `data`.
+  static Result<DataCollection> ParseEnvelope(std::string_view data);
 
  private:
   std::shared_ptr<const DataPayload> payload_;

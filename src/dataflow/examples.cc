@@ -46,14 +46,14 @@ std::string ExamplesData::DebugString() const {
 Result<std::shared_ptr<ExamplesData>> ExamplesData::Deserialize(
     ByteReader* r) {
   HELIX_ASSIGN_OR_RETURN(FeatureDict dict, FeatureDict::Deserialize(r));
-  auto data =
-      std::make_shared<ExamplesData>(std::make_shared<FeatureDict>(dict));
-  HELIX_ASSIGN_OR_RETURN(uint64_t n, r->GetU64());
-  if (n > (1ULL << 32)) {
-    return Status::Corruption("implausible example count");
-  }
+  auto data = std::make_shared<ExamplesData>(
+      std::make_shared<FeatureDict>(std::move(dict)));
+  // Smallest example: an empty sparse vector (its u64 count), the label,
+  // the id and the is_test byte.
+  constexpr size_t kMinExampleBytes = 8 + 8 + 8 + 1;
+  HELIX_ASSIGN_OR_RETURN(size_t n, r->GetCount(kMinExampleBytes, "example"));
   data->Reserve(static_cast<int64_t>(n));
-  for (uint64_t i = 0; i < n; ++i) {
+  for (size_t i = 0; i < n; ++i) {
     Example e;
     HELIX_ASSIGN_OR_RETURN(e.features, SparseVector::Deserialize(r));
     HELIX_ASSIGN_OR_RETURN(e.label, r->GetDouble());

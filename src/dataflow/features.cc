@@ -1,6 +1,7 @@
 #include "dataflow/features.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/hash.h"
 
@@ -145,15 +146,20 @@ void SparseVector::Serialize(ByteWriter* w) const {
 }
 
 Result<SparseVector> SparseVector::Deserialize(ByteReader* r) {
-  HELIX_ASSIGN_OR_RETURN(uint64_t n, r->GetU64());
-  if (n > (1ULL << 30)) {
-    return Status::Corruption("implausible sparse vector size");
-  }
+  // Each entry is an i64 index and a double. The count is bounded by the
+  // bytes left, so the whole body is one bounds check and one reserve.
+  constexpr size_t kEntryBytes = 16;
+  HELIX_ASSIGN_OR_RETURN(size_t n, r->GetCount(kEntryBytes, "sparse vector"));
+  HELIX_ASSIGN_OR_RETURN(std::string_view body, r->GetRawView(n * kEntryBytes));
   SparseVector v;
+  v.entries_.reserve(n);
   int64_t prev = -1;
-  for (uint64_t i = 0; i < n; ++i) {
-    HELIX_ASSIGN_OR_RETURN(int64_t idx, r->GetI64());
-    HELIX_ASSIGN_OR_RETURN(double val, r->GetDouble());
+  for (size_t i = 0; i < n; ++i) {
+    const char* entry = body.data() + i * kEntryBytes;
+    int64_t idx = static_cast<int64_t>(LoadU64LE(entry));
+    uint64_t bits = LoadU64LE(entry + 8);
+    double val;
+    std::memcpy(&val, &bits, sizeof(val));
     if (idx <= prev || idx > INT32_MAX) {
       return Status::Corruption("sparse vector indices not increasing");
     }

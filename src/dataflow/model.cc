@@ -56,13 +56,10 @@ std::string ModelData::DebugString() const {
 Result<std::shared_ptr<ModelData>> ModelData::Deserialize(ByteReader* r) {
   HELIX_ASSIGN_OR_RETURN(std::string type, r->GetString());
   HELIX_ASSIGN_OR_RETURN(double bias, r->GetDouble());
-  HELIX_ASSIGN_OR_RETURN(uint64_t n, r->GetU64());
-  if (n > (1ULL << 30)) {
-    return Status::Corruption("implausible weight count");
-  }
+  HELIX_ASSIGN_OR_RETURN(size_t n, r->GetCount(sizeof(double), "weight"));
   std::vector<double> weights;
   weights.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
+  for (size_t i = 0; i < n; ++i) {
     HELIX_ASSIGN_OR_RETURN(double w, r->GetDouble());
     weights.push_back(w);
   }

@@ -12,7 +12,6 @@
 #include <string>
 
 #include "common/bytes.h"
-#include "common/spans.h"
 
 namespace helix {
 namespace dataflow {
@@ -46,15 +45,6 @@ class DataPayload {
 
   /// Appends the payload body (excluding the kind tag) to `w`.
   virtual void Serialize(ByteWriter* w) const = 0;
-
-  /// Span-list variant of Serialize: emits the identical byte stream,
-  /// borrowing already-contiguous bodies into `s` instead of copying
-  /// where the payload supports it. The payload must outlive the span
-  /// list. Default: serialize into the span writer's owned scratch
-  /// (correct for every payload; tables override with real borrowing).
-  virtual void SerializeToSpans(SpanWriter* s) const {
-    Serialize(s->writer());
-  }
 
   /// One-line human-readable summary, e.g. "table(32561 rows x 15 cols)".
   virtual std::string DebugString() const = 0;

@@ -193,15 +193,6 @@ void TableData::Serialize(ByteWriter* w) const {
   }
 }
 
-void TableData::SerializeToSpans(SpanWriter* s) const {
-  Seal();
-  schema_.Serialize(s->writer());
-  s->writer()->PutU64(static_cast<uint64_t>(num_rows_));
-  for (const auto& col : columns_) {
-    col->SerializeToSpans(s);
-  }
-}
-
 std::string TableData::DebugString() const {
   return StrFormat("table(%lld rows x %d cols)",
                    static_cast<long long>(num_rows()), schema_.num_fields());

@@ -84,10 +84,6 @@ class TableData final : public DataPayload {
   uint64_t Fingerprint() const override;
   /// Format-v2 body: schema, row count, then column-contiguous payloads.
   void Serialize(ByteWriter* w) const override;
-  /// Same bytes as Serialize, but column bodies (value arrays, string
-  /// arenas, dictionary codes) are borrowed into the span list instead of
-  /// copied — the zero-copy reply path. The table must outlive the spans.
-  void SerializeToSpans(SpanWriter* s) const override;
   std::string DebugString() const override;
 
   /// Parses a table body in the given envelope format version (1 =

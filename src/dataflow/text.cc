@@ -55,21 +55,20 @@ std::string TextData::DebugString() const {
 }
 
 Result<std::shared_ptr<TextData>> TextData::Deserialize(ByteReader* r) {
-  HELIX_ASSIGN_OR_RETURN(uint64_t n, r->GetU64());
-  if (n > (1ULL << 28)) {
-    return Status::Corruption("implausible doc count");
-  }
+  // Smallest document: two empty length-prefixed strings (id, text) and
+  // a span count; smallest span: begin, end and an empty label.
+  constexpr size_t kMinDocBytes = 8 + 8 + 8;
+  constexpr size_t kMinSpanBytes = 8 + 8 + 8;
+  HELIX_ASSIGN_OR_RETURN(size_t n, r->GetCount(kMinDocBytes, "doc"));
   auto text = std::make_shared<TextData>();
-  for (uint64_t i = 0; i < n; ++i) {
+  for (size_t i = 0; i < n; ++i) {
     Document d;
     HELIX_ASSIGN_OR_RETURN(d.id, r->GetString());
     HELIX_ASSIGN_OR_RETURN(d.text, r->GetString());
-    HELIX_ASSIGN_OR_RETURN(uint64_t num_spans, r->GetU64());
-    if (num_spans > (1ULL << 28)) {
-      return Status::Corruption("implausible span count");
-    }
+    HELIX_ASSIGN_OR_RETURN(size_t num_spans,
+                           r->GetCount(kMinSpanBytes, "span"));
     d.spans.reserve(num_spans);
-    for (uint64_t j = 0; j < num_spans; ++j) {
+    for (size_t j = 0; j < num_spans; ++j) {
       Span s;
       HELIX_ASSIGN_OR_RETURN(int64_t begin, r->GetI64());
       HELIX_ASSIGN_OR_RETURN(int64_t end, r->GetI64());

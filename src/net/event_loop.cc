@@ -24,8 +24,8 @@ namespace {
 void* const kEventFdTag = reinterpret_cast<void*>(0);
 void* const kListenerTag = reinterpret_cast<void*>(1);
 
-// One gathered write covers at most this many spans; a reply with more
-// simply takes several sendmsg calls.
+// One gathered write covers at most this many queued frames; a longer
+// queue simply takes several sendmsg calls.
 constexpr size_t kMaxIovPerFlush = 64;
 
 int64_t SteadyNowMicros() {
@@ -40,21 +40,7 @@ int64_t SteadyNowMicros() {
 
 void EventLoop::Conn::SendFrame(const Frame& frame) {
   Outbound entry;
-  entry.head = EncodeFrame(frame);
-  entry.total = entry.head.size();
-  Enqueue(std::move(entry), /*completes_request=*/true);
-}
-
-void EventLoop::Conn::SendFrameSpans(uint8_t opcode, uint64_t request_id,
-                                     std::unique_ptr<SpanWriter> payload,
-                                     std::shared_ptr<const void> pin) {
-  Outbound entry;
-  BuildFrameParts(opcode, request_id, payload.get(), &entry.head,
-                  &entry.trailer);
-  entry.total =
-      entry.head.size() + payload->TotalBytes() + entry.trailer.size();
-  entry.spans = std::move(payload);
-  entry.pin = std::move(pin);
+  entry.bytes = EncodeFrame(frame);
   Enqueue(std::move(entry), /*completes_request=*/true);
 }
 
@@ -62,15 +48,15 @@ void EventLoop::Conn::Enqueue(Outbound entry, bool completes_request) {
   {
     std::lock_guard<std::mutex> lock(out_mu);
     if (closed) {
-      // Torn down: the reply is dropped (entry's pins release here) and
-      // teardown already returned this connection's in-flight slots.
+      // Torn down: the reply is dropped, and teardown already returned
+      // this connection's in-flight slots.
       return;
     }
     if (completes_request && inflight > 0) {
       --inflight;
       loop_->global_inflight_.fetch_sub(1, std::memory_order_relaxed);
     }
-    queue_bytes += static_cast<int64_t>(entry.total);
+    queue_bytes += static_cast<int64_t>(entry.bytes.size());
     outbound.push_back(std::move(entry));
     if (queue_bytes > loop_->options_.max_outbound_queue_bytes) {
       // Slow reader: the peer is not draining replies. The teardown must
@@ -374,8 +360,7 @@ bool EventLoop::DrainFrames(Shard* shard, const std::shared_ptr<Conn>& conn) {
       error.request_id = request_id;
       error.payload = EncodeErrorReply(consumed.status());
       Conn::Outbound entry;
-      entry.head = EncodeFrame(error);
-      entry.total = entry.head.size();
+      entry.bytes = EncodeFrame(error);
       conn->Enqueue(std::move(entry), /*completes_request=*/false);
       if (FlushOutbound(shard, conn)) {
         Teardown(shard, conn, HangupReason::kProtocolError);
@@ -413,8 +398,7 @@ bool EventLoop::DrainFrames(Shard* shard, const std::shared_ptr<Conn>& conn) {
       error.request_id = frame.request_id;
       error.payload = EncodeErrorReply(Status::ResourceExhausted(
           "server overloaded: in-flight request limit reached"));
-      entry.head = EncodeFrame(error);
-      entry.total = entry.head.size();
+      entry.bytes = EncodeFrame(error);
       conn->Enqueue(std::move(entry), /*completes_request=*/false);
       if (handlers_.on_shed) {
         handlers_.on_shed(conn);
@@ -429,40 +413,6 @@ bool EventLoop::DrainFrames(Shard* shard, const std::shared_ptr<Conn>& conn) {
     handlers_.on_frame(conn, std::move(frame), decode_micros);
   }
 }
-
-namespace {
-
-// Appends the unsent remainder of one outbound entry as iovecs, up to
-// `cap` entries total in `*iov`.
-void AppendEntryIovecs(const std::string& head, SpanWriter* spans,
-                       const std::string& trailer, size_t offset,
-                       std::vector<struct iovec>* iov, size_t cap) {
-  size_t skip = offset;
-  auto add = [&](const char* data, size_t len) {
-    if (iov->size() >= cap || len == 0) {
-      return;
-    }
-    if (skip >= len) {
-      skip -= len;
-      return;
-    }
-    iov->push_back(
-        {const_cast<char*>(data) + skip, len - skip});
-    skip = 0;
-  };
-  add(head.data(), head.size());
-  if (spans != nullptr) {
-    for (const ByteSpan& s : spans->spans()) {
-      if (iov->size() >= cap) {
-        return;
-      }
-      add(s.data, s.len);
-    }
-  }
-  add(trailer.data(), trailer.size());
-}
-
-}  // namespace
 
 bool EventLoop::FlushOutbound(Shard* shard,
                               const std::shared_ptr<Conn>& conn) {
@@ -479,11 +429,11 @@ bool EventLoop::FlushOutbound(Shard* shard,
     std::vector<struct iovec> iov;
     iov.reserve(kMaxIovPerFlush);
     for (const Conn::Outbound& entry : conn->outbound) {
-      AppendEntryIovecs(entry.head, entry.spans.get(), entry.trailer,
-                        entry.offset, &iov, kMaxIovPerFlush);
       if (iov.size() >= kMaxIovPerFlush) {
         break;
       }
+      iov.push_back({const_cast<char*>(entry.bytes.data()) + entry.offset,
+                     entry.bytes.size() - entry.offset});
     }
     msghdr msg;
     std::memset(&msg, 0, sizeof(msg));
@@ -508,12 +458,12 @@ bool EventLoop::FlushOutbound(Shard* shard,
     size_t sent = static_cast<size_t>(n);
     while (sent > 0 && !conn->outbound.empty()) {
       Conn::Outbound& front = conn->outbound.front();
-      size_t step = std::min(front.total - front.offset, sent);
+      size_t step = std::min(front.bytes.size() - front.offset, sent);
       front.offset += step;
       sent -= step;
-      if (front.offset == front.total) {
-        conn->queue_bytes -= static_cast<int64_t>(front.total);
-        conn->outbound.pop_front();  // releases the entry's pins
+      if (front.offset == front.bytes.size()) {
+        conn->queue_bytes -= static_cast<int64_t>(front.bytes.size());
+        conn->outbound.pop_front();
       }
     }
   }
@@ -549,7 +499,7 @@ void EventLoop::Teardown(Shard* shard, const std::shared_ptr<Conn>& conn,
   ::close(conn->fd_);
   shard->dead.push_back(conn);
   num_connections_.fetch_sub(1, std::memory_order_acq_rel);
-  doomed.clear();  // releases queued replies' span pins
+  doomed.clear();  // frees the undelivered replies
   if (handlers_.on_hangup) {
     handlers_.on_hangup(conn, reason);
   }

@@ -15,9 +15,7 @@
 //     thread;
 //   * writes go through a per-connection outbound queue flushed by the
 //     owning loop thread (gathered sendmsg); EPOLLOUT is armed only while
-//     the queue is nonempty. A queued reply may carry borrowed spans (the
-//     zero-copy FetchOutput path): the entry pins the SpanWriter and the
-//     DataCollection behind it until the bytes are on the wire.
+//     the queue is nonempty.
 //
 // Backpressure is first-class policy, not an accident of blocking I/O:
 //
@@ -33,11 +31,11 @@
 // Threading: handlers (on_accept, on_frame, on_shed) run on the loop
 // thread owning the connection; on_hangup runs there too, or on the
 // Stop() caller during teardown — exactly once per connection either way.
-// Conn::SendFrame / SendFrameSpans are safe from any thread (the pool
-// workers answering requests); delivery is ordered per connection by the
-// queue. Stop() joins the loop threads and tears down every connection
-// (firing on_hangup) before returning, so handlers never outlive the
-// structures they capture.
+// Conn::SendFrame is safe from any thread (the pool workers answering
+// requests); delivery is ordered per connection by the queue. Stop()
+// joins the loop threads and tears down every connection (firing
+// on_hangup) before returning, so handlers never outlive the structures
+// they capture.
 #ifndef HELIX_NET_EVENT_LOOP_H_
 #define HELIX_NET_EVENT_LOOP_H_
 
@@ -54,7 +52,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/spans.h"
 #include "common/status.h"
 #include "net/frame.h"
 #include "net/socket.h"
@@ -103,14 +100,6 @@ class EventLoop {
     /// no-op once the connection is torn down.
     void SendFrame(const Frame& frame);
 
-    /// Queues one span-list reply frame (wire bytes identical to
-    /// WriteFrameSpans). The entry owns `payload` and holds `pin` until
-    /// flushed — the borrowed spans' backing memory must be owned by the
-    /// two. Marks one in-flight request complete.
-    void SendFrameSpans(uint8_t opcode, uint64_t request_id,
-                        std::unique_ptr<SpanWriter> payload,
-                        std::shared_ptr<const void> pin);
-
     /// Blocks until every queued outbound byte reached the kernel (or the
     /// connection died, or the timeout passed); true when drained. The
     /// shutdown handler uses this so the Shutdown ack cannot be destroyed
@@ -120,15 +109,9 @@ class EventLoop {
    private:
     friend class EventLoop;
 
-    /// One queued outbound message: either a flat frame in `head`, or a
-    /// deferred gathered write (`head` = frame header, the SpanWriter's
-    /// span list, `trailer` = checksum) pinning its backing storage.
+    /// One queued outbound frame (EncodeFrame bytes).
     struct Outbound {
-      std::string head;
-      std::unique_ptr<SpanWriter> spans;
-      std::string trailer;
-      std::shared_ptr<const void> pin;
-      size_t total = 0;   // head + span payload + trailer bytes
+      std::string bytes;
       size_t offset = 0;  // bytes already on the wire
     };
 

@@ -1,7 +1,6 @@
 #include "net/frame.h"
 
 #include <utility>
-#include <vector>
 
 #include "common/bytes.h"
 #include "common/hash.h"
@@ -186,44 +185,6 @@ Result<Frame> ReadFrame(TcpConnection* conn, uint32_t max_payload_bytes,
 Status WriteFrame(TcpConnection* conn, const Frame& frame) {
   std::string bytes = EncodeFrame(frame);
   return conn->WriteAll(bytes.data(), bytes.size());
-}
-
-void BuildFrameParts(uint8_t opcode, uint64_t request_id,
-                     SpanWriter* payload, std::string* header_out,
-                     std::string* trailer_out) {
-  ByteWriter header;
-  header.Reserve(kFrameHeaderBytes);
-  header.PutU32(kFrameMagic);
-  header.PutU8(kProtocolVersion);
-  header.PutU8(opcode);
-  header.PutU64(request_id);
-  header.PutU32(static_cast<uint32_t>(payload->TotalBytes()));
-  // The checksum streams over header + spans — same digest EncodeFrame
-  // computes over its contiguous buffer.
-  uint64_t checksum = FnvHash64(header.data());
-  for (const ByteSpan& s : payload->spans()) {
-    checksum = FnvHash64(s.data, s.len, checksum);
-  }
-  ByteWriter trailer;
-  trailer.PutU64(checksum);
-  *header_out = std::move(header.TakeData());
-  *trailer_out = std::move(trailer.TakeData());
-}
-
-Status WriteFrameSpans(TcpConnection* conn, uint8_t opcode,
-                       uint64_t request_id, SpanWriter* payload) {
-  std::string header;
-  std::string trailer;
-  BuildFrameParts(opcode, request_id, payload, &header, &trailer);
-  const std::vector<ByteSpan>& spans = payload->spans();
-  std::vector<struct iovec> iov;
-  iov.reserve(spans.size() + 2);
-  iov.push_back({header.data(), header.size()});
-  for (const ByteSpan& s : spans) {
-    iov.push_back({const_cast<char*>(s.data), s.len});
-  }
-  iov.push_back({trailer.data(), trailer.size()});
-  return conn->WritevAll(iov.data(), iov.size());
 }
 
 }  // namespace net

@@ -26,7 +26,6 @@
 #include <string_view>
 
 #include "common/result.h"
-#include "common/spans.h"
 #include "common/status.h"
 #include "net/socket.h"
 
@@ -84,24 +83,6 @@ Result<Frame> ReadFrame(TcpConnection* conn, uint32_t max_payload_bytes,
 
 /// Encodes and writes one frame.
 Status WriteFrame(TcpConnection* conn, const Frame& frame);
-
-/// Writes one frame whose payload is `payload`'s span list, via one
-/// gathered writev-style call: header, then the spans as-is, then the
-/// checksum — the payload bytes are never copied into a contiguous
-/// buffer. On the wire this is byte-identical to WriteFrame of the
-/// flattened payload; any borrowed memory must stay alive for the call.
-Status WriteFrameSpans(TcpConnection* conn, uint8_t opcode,
-                       uint64_t request_id, SpanWriter* payload);
-
-/// Builds the header and checksum-trailer bytes of the frame
-/// WriteFrameSpans would emit for `payload`'s span list — the two owned
-/// pieces a caller queues around the borrowed spans for a *deferred*
-/// gathered write (the event loop's outbound queue). Concatenating
-/// header + spans + trailer is byte-identical to EncodeFrame of the
-/// flattened payload.
-void BuildFrameParts(uint8_t opcode, uint64_t request_id,
-                     SpanWriter* payload, std::string* header_out,
-                     std::string* trailer_out);
 
 }  // namespace net
 }  // namespace helix

@@ -57,25 +57,6 @@ struct HelixServer::ThreadConn : HelixServer::ClientConn {
     }
   }
 
-  void SendReplySpans(uint64_t request_id,
-                      std::unique_ptr<SpanWriter> payload,
-                      std::shared_ptr<const void> pin) override {
-    // Synchronous gathered write: the caller's pin outlives the call, so
-    // it carries no further duty here.
-    size_t payload_bytes = payload->TotalBytes();
-    int64_t write_start = SteadyNowMicros();
-    std::lock_guard<std::mutex> lock(write_mu);
-    Status written =
-        WriteFrameSpans(conn.get(), static_cast<uint8_t>(Opcode::kReply),
-                        request_id, payload.get());
-    if (written.ok()) {
-      server->AccountReplyOut(this, payload_bytes, write_start);
-    } else {
-      OnWriteFailure(request_id, written);
-    }
-    (void)pin;
-  }
-
   bool WaitRepliesFlushed(int /*timeout_ms*/) override {
     return true;  // writes are synchronous: sent means in the kernel
   }
@@ -125,20 +106,6 @@ struct HelixServer::EventConn : HelixServer::ClientConn {
     size_t payload_bytes = reply.payload.size();
     int64_t enqueue_start = SteadyNowMicros();
     lc->SendFrame(reply);
-    server->AccountReplyOut(this, payload_bytes, enqueue_start);
-  }
-
-  void SendReplySpans(uint64_t request_id,
-                      std::unique_ptr<SpanWriter> payload,
-                      std::shared_ptr<const void> pin) override {
-    std::shared_ptr<EventLoop::Conn> lc = loop_conn.lock();
-    if (lc == nullptr) {
-      return;
-    }
-    size_t payload_bytes = payload->TotalBytes();
-    int64_t enqueue_start = SteadyNowMicros();
-    lc->SendFrameSpans(static_cast<uint8_t>(Opcode::kReply), request_id,
-                       std::move(payload), std::move(pin));
     server->AccountReplyOut(this, payload_bytes, enqueue_start);
   }
 
@@ -447,10 +414,8 @@ void HelixServer::HandleRequest(const std::shared_ptr<ClientConn>& connection,
       reply = HandleGetTrace(frame);
       break;
     case Opcode::kFetchOutput:
-      // Delivers its own reply: the zero-copy span path hands the stored
-      // payload to the transport, which keeps it alive until written.
-      HandleFetchOutput(connection, frame, handler_start);
-      return;
+      reply = HandleFetchOutput(frame);
+      break;
     case Opcode::kShutdown:
       reply = EncodeEmptyReply();
       break;
@@ -489,11 +454,14 @@ std::string HelixServer::HandleOpenSession(
   if (!session.ok()) {
     return EncodeErrorReply(session.status());
   }
+  // Read the id before publishing it: once it is in session_ids, a
+  // disconnect on another thread may close and free the session.
+  uint64_t id = session.value()->id();
   {
     std::lock_guard<std::mutex> lock(connection->sessions_mu);
-    connection->session_ids.push_back(session.value()->id());
+    connection->session_ids.push_back(id);
   }
-  return EncodeOpenSessionReply(session.value()->id());
+  return EncodeOpenSessionReply(id);
 }
 
 std::string HelixServer::HandleCloseSession(
@@ -556,8 +524,14 @@ std::string HelixServer::HandleRunIteration(const Frame& frame) {
   remote.total_micros = result->report.total_micros;
   for (const auto& [output_name, data] : result->report.outputs) {
     const core::NodeExecution* node = result->report.FindNode(output_name);
-    remote.outputs.push_back({output_name, data.Fingerprint(),
-                              node != nullptr ? node->signature : 0});
+    // A loaded output carries the fingerprint its store entry recorded
+    // at write time; only computed and shared outputs are hashed here.
+    uint64_t fingerprint = node != nullptr ? node->stored_fingerprint : 0;
+    if (fingerprint == 0) {
+      fingerprint = data.Fingerprint();
+    }
+    remote.outputs.push_back(
+        {output_name, fingerprint, node != nullptr ? node->signature : 0});
   }
   return EncodeRunIterationReply(remote);
 }
@@ -598,46 +572,25 @@ std::string HelixServer::HandleGetTrace(const Frame& frame) {
   return EncodeTextReply(service_->trace()->ToChromeJson());
 }
 
-void HelixServer::HandleFetchOutput(
-    const std::shared_ptr<ClientConn>& connection, const Frame& frame,
-    int64_t handler_start) {
+std::string HelixServer::HandleFetchOutput(const Frame& frame) {
   Result<uint64_t> signature = DecodeFetchOutputRequest(frame.payload);
   if (!signature.ok()) {
-    execute_micros_->Observe(SteadyNowMicros() - handler_start);
-    connection->SendReply(frame.request_id,
-                          EncodeErrorReply(signature.status()));
-    return;
+    return EncodeErrorReply(signature.status());
   }
   // The iteration that produced this output may have returned before its
   // write landed (write-behind), in this session or in a sibling that
   // shared it through the in-flight table: wait for that one write.
   service_->materializer()->WaitFor(signature.value());
-  Result<dataflow::DataCollection> data =
-      service_->store()->Get(signature.value());
-  if (!data.ok()) {
-    execute_micros_->Observe(SteadyNowMicros() - handler_start);
-    connection->SendReply(frame.request_id,
-                          EncodeErrorReply(data.status().WithContext(
-                              "fetching output with signature " +
-                              std::to_string(signature.value()))));
-    return;
+  // The stored envelope ships as stored: no decode, no re-encode. The
+  // client verifies the frame and then the envelope checksum.
+  Result<std::shared_ptr<const std::string>> envelope =
+      service_->store()->GetBytes(signature.value());
+  if (!envelope.ok()) {
+    return EncodeErrorReply(envelope.status().WithContext(
+        "fetching output with signature " +
+        std::to_string(signature.value())));
   }
-  if (options_.zero_copy_replies) {
-    // The span list borrows the columns' own buffers, so the collection
-    // rides along as the pin: the thread path holds it across its
-    // synchronous writev, the event path until the queued entry flushes.
-    auto owned =
-        std::make_shared<dataflow::DataCollection>(std::move(data).value());
-    auto spans = std::make_unique<SpanWriter>();
-    EncodeFetchOutputReplyToSpans(*owned, spans.get());
-    execute_micros_->Observe(SteadyNowMicros() - handler_start);
-    connection->SendReplySpans(frame.request_id, std::move(spans),
-                               std::move(owned));
-    return;
-  }
-  std::string reply = EncodeFetchOutputReply(data.value());
-  execute_micros_->Observe(SteadyNowMicros() - handler_start);
-  connection->SendReply(frame.request_id, std::move(reply));
+  return EncodeFetchOutputReply(*envelope.value());
 }
 
 // -------------------------------------------------------------- helpers ---

@@ -80,14 +80,6 @@ struct ServerOptions {
   /// 0 = ephemeral; read the bound port from HelixServer::port().
   int port = 0;
   uint32_t max_payload_bytes = kDefaultMaxPayloadBytes;
-  /// When true (default), FetchOutput replies are written as a gathered
-  /// span list over the stored columns' own buffers (header + borrowed
-  /// bodies + checksum in one writev) — a cache-hit reply never copies the
-  /// payload into a contiguous buffer. Off = flatten-and-WriteFrame, kept
-  /// for benchmarks and as a fallback; the wire bytes are identical. In
-  /// event-loop mode the queued reply pins the DataCollection until its
-  /// spans are flushed.
-  bool zero_copy_replies = true;
   /// Transport mode: epoll event loop (default) or the legacy
   /// thread-per-connection blocking readers.
   bool event_loop = true;
@@ -151,11 +143,6 @@ class HelixServer {
     /// under the connection's write mutex; event mode: enqueue on the
     /// loop's outbound queue).
     virtual void SendReply(uint64_t request_id, std::string payload) = 0;
-    /// Span-list reply (the zero-copy FetchOutput path). The payload and
-    /// `pin` stay alive until the bytes reach the kernel.
-    virtual void SendReplySpans(uint64_t request_id,
-                                std::unique_ptr<SpanWriter> payload,
-                                std::shared_ptr<const void> pin) = 0;
     /// Blocks until previously sent replies reached the kernel (the
     /// Shutdown-ack flush); thread mode writes synchronously and returns
     /// immediately.
@@ -209,11 +196,7 @@ class HelixServer {
   std::string HandleGetCounters(const Frame& frame);
   std::string HandleGetMetrics(const Frame& frame);
   std::string HandleGetTrace(const Frame& frame);
-  /// Unlike the handlers above, FetchOutput delivers its own reply: the
-  /// zero-copy path hands the stored DataCollection to the transport as
-  /// the pin keeping its borrowed spans alive until flushed.
-  void HandleFetchOutput(const std::shared_ptr<ClientConn>& connection,
-                         const Frame& frame, int64_t handler_start);
+  std::string HandleFetchOutput(const Frame& frame);
   /// Retires every session this connection opened (close-on-disconnect).
   void CloseConnectionSessions(ClientConn* connection);
   /// Folds one received frame into the traffic counters.

@@ -9,8 +9,6 @@
 #ifndef HELIX_NET_SOCKET_H_
 #define HELIX_NET_SOCKET_H_
 
-#include <sys/uio.h>
-
 #include <atomic>
 #include <memory>
 #include <string>
@@ -36,12 +34,6 @@ class TcpConnection {
 
   /// Writes exactly `len` bytes; IOError if the peer went away.
   Status WriteAll(const void* data, size_t len);
-
-  /// Gathered write: sends every byte of `iov[0..iovcnt)` in order
-  /// without concatenating them first (the zero-copy reply path).
-  /// Handles partial writes and IOV_MAX batching; same error contract as
-  /// WriteAll. The iovec array is not modified.
-  Status WritevAll(const struct iovec* iov, size_t iovcnt);
 
   /// Reads exactly `len` bytes. Returns true on success, false on a clean
   /// end-of-stream *before the first byte* (orderly peer close between

@@ -196,20 +196,14 @@ std::string EncodeTextReply(const std::string& text) {
   return std::move(out.TakeData());
 }
 
-std::string EncodeFetchOutputReply(const dataflow::DataCollection& data) {
+std::string EncodeFetchOutputReply(std::string_view envelope) {
   ByteWriter out;
+  out.Reserve(16 + envelope.size());
   EncodeStatus(Status::OK(), &out);
   // The envelope rides unprefixed: the frame already bounds the payload,
   // and the envelope's own checksum bounds the body.
-  std::string envelope = data.SerializeToString();
   out.PutRaw(envelope.data(), envelope.size());
   return std::move(out.TakeData());
-}
-
-void EncodeFetchOutputReplyToSpans(const dataflow::DataCollection& data,
-                                   SpanWriter* s) {
-  EncodeStatus(Status::OK(), s->writer());
-  data.SerializeToSpans(s);
 }
 
 Result<uint64_t> DecodeOpenSessionReply(std::string_view payload) {
@@ -234,14 +228,11 @@ Result<RemoteIterationResult> DecodeRunIterationReply(
   HELIX_ASSIGN_OR_RETURN(result.num_pruned, in.GetI64());
   HELIX_ASSIGN_OR_RETURN(result.num_materialized, in.GetI64());
   HELIX_ASSIGN_OR_RETURN(result.total_micros, in.GetI64());
-  HELIX_ASSIGN_OR_RETURN(uint64_t n, in.GetU64());
   // Each entry costs at least 24 bytes (length prefix + two u64s); a
   // count claiming more is corrupt, and must be rejected before reserve.
-  if (n > in.remaining() / 24) {
-    return Status::Corruption("output count implausible");
-  }
+  HELIX_ASSIGN_OR_RETURN(size_t n, in.GetCount(24, "output"));
   result.outputs.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
+  for (size_t i = 0; i < n; ++i) {
     RemoteOutput output;
     HELIX_ASSIGN_OR_RETURN(output.name, in.GetString());
     HELIX_ASSIGN_OR_RETURN(output.fingerprint, in.GetU64());

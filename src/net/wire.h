@@ -19,12 +19,12 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/result.h"
-#include "common/spans.h"
 #include "core/version_manager.h"
 #include "dataflow/data_collection.h"
 #include "core/workflow.h"
@@ -144,15 +144,10 @@ std::string EncodeCountersReply(const service::SessionCounters& counters);
 std::string EncodeEmptyReply();
 /// OK status + one opaque text blob (GetMetrics / GetTrace JSON).
 std::string EncodeTextReply(const std::string& text);
-/// OK status + a whole DataCollection envelope (flattening copy path —
-/// the zero-copy server path emits the same bytes through
-/// EncodeFetchOutputReplyToSpans instead).
-std::string EncodeFetchOutputReply(const dataflow::DataCollection& data);
-/// Span-list form of EncodeFetchOutputReply: status into the scratch
-/// writer, then the envelope borrowing column bodies from `data`, which
-/// must outlive the spans.
-void EncodeFetchOutputReplyToSpans(const dataflow::DataCollection& data,
-                                   SpanWriter* s);
+/// OK status + one whole DataCollection envelope, copied verbatim: the
+/// server passes the stored bytes (IntermediateStore::GetBytes) without
+/// decoding them.
+std::string EncodeFetchOutputReply(std::string_view envelope);
 
 /// Reply decoders: each decodes the leading status — a non-OK remote
 /// status is returned as-is (same code, message prefixed "remote: ") —

@@ -11,6 +11,7 @@
 #define HELIX_STORAGE_BACKEND_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -87,8 +88,12 @@ class StorageBackend {
   }
 
   /// Returns the payload bytes for `signature`. NotFound if absent;
-  /// Corruption if present but failing verification (checksums).
-  virtual Result<std::string> Read(uint64_t signature) = 0;
+  /// Corruption if present but failing verification (checksums). The
+  /// bytes are immutable and shared: the returned pointer keeps them alive
+  /// after a concurrent Delete or overwrite, so a backend that keeps
+  /// whole payloads in memory hands out its own buffer without copying.
+  virtual Result<std::shared_ptr<const std::string>> Read(
+      uint64_t signature) = 0;
 
   /// Removes `signature`; OK if absent. Persistent backends make the
   /// removal durable (tombstones) so deleted entries stay deleted across
@@ -98,7 +103,11 @@ class StorageBackend {
   /// Removes everything, including on-disk state.
   virtual Status DeleteAll() = 0;
 
-  /// True if data written here survives process restart.
+  /// True if data written here survives process restart, i.e. the bytes
+  /// leave this process's memory. The store re-verifies the envelope of
+  /// every payload read from a persistent backend; a volatile backend's
+  /// bytes were serialized by this process and never left its RAM, so
+  /// they are parsed without a second checksum pass.
   virtual bool persistent() const = 0;
 
   /// Stable human-readable backend name ("disk", "memory").

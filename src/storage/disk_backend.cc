@@ -295,7 +295,8 @@ Status DiskBackend::Write(const StoreEntry& meta, std::string_view payload) {
   return MaybeCompactLocked();
 }
 
-Result<std::string> DiskBackend::Read(uint64_t signature) {
+Result<std::shared_ptr<const std::string>> DiskBackend::Read(
+    uint64_t signature) {
   // File I/O happens outside the mutex so loads of different entries
   // overlap. Segments are append-only, so a snapshotted location normally
   // stays valid — but a concurrent Compact (or an overwrite of this very
@@ -319,7 +320,7 @@ Result<std::string> DiskBackend::Read(uint64_t signature) {
     }
     auto payload = ReadAt(signature, loc);
     if (payload.ok()) {
-      return payload;
+      return std::make_shared<const std::string>(std::move(payload).value());
     }
   }
 }

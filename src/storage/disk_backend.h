@@ -68,7 +68,8 @@ class DiskBackend final : public StorageBackend {
 
   Result<std::vector<StoreEntry>> Recover() override;
   Status Write(const StoreEntry& meta, std::string_view payload) override;
-  Result<std::string> Read(uint64_t signature) override;
+  Result<std::shared_ptr<const std::string>> Read(
+      uint64_t signature) override;
   Status Delete(uint64_t signature) override;
   Status DeleteAll() override;
   bool persistent() const override { return true; }

@@ -6,6 +6,7 @@
 #ifndef HELIX_STORAGE_MEMORY_BACKEND_H_
 #define HELIX_STORAGE_MEMORY_BACKEND_H_
 
+#include <memory>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
@@ -20,8 +21,9 @@ namespace storage {
 /// Thread safety: all methods are safe to call concurrently; a
 /// reader-writer lock lets concurrent Reads (the executor's warm path)
 /// overlap while Writes are exclusive.
-/// Ownership: payload strings are owned by the backend; Read returns a
-/// copy, so results stay valid after concurrent mutation.
+/// Ownership: each payload is an immutable shared string; Read hands out
+/// another reference to it (no copy), which stays valid after a
+/// concurrent Delete, overwrite or DeleteAll drops the backend's own.
 /// Failure modes: Read returns NotFound for unknown signatures. Write and
 /// Delete cannot fail (no I/O). Recover always returns empty — nothing
 /// survives construction.
@@ -34,18 +36,18 @@ class MemoryBackend final : public StorageBackend {
   }
 
   Status Write(const StoreEntry& meta, std::string_view payload) override {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    payloads_[meta.signature] = std::string(payload);
-    return Status::OK();
+    return Write(meta, std::string(payload));
   }
 
   Status Write(const StoreEntry& meta, std::string&& payload) override {
+    auto shared = std::make_shared<const std::string>(std::move(payload));
     std::unique_lock<std::shared_mutex> lock(mu_);
-    payloads_[meta.signature] = std::move(payload);
+    payloads_[meta.signature] = std::move(shared);
     return Status::OK();
   }
 
-  Result<std::string> Read(uint64_t signature) override {
+  Result<std::shared_ptr<const std::string>> Read(
+      uint64_t signature) override {
     std::shared_lock<std::shared_mutex> lock(mu_);
     auto it = payloads_.find(signature);
     if (it == payloads_.end()) {
@@ -71,7 +73,7 @@ class MemoryBackend final : public StorageBackend {
 
  private:
   mutable std::shared_mutex mu_;
-  std::unordered_map<uint64_t, std::string> payloads_;
+  std::unordered_map<uint64_t, std::shared_ptr<const std::string>> payloads_;
 };
 
 }  // namespace storage

@@ -143,68 +143,88 @@ std::optional<StoreEntry> IntermediateStore::GetEntry(
   return it->second;
 }
 
-Result<dataflow::DataCollection> IntermediateStore::Get(
-    uint64_t signature, int64_t* load_micros_out) {
-  // The backend read and deserialization — the expensive parts — run
-  // outside any shard lock so concurrent loads (the parallel executor's
-  // warm path) actually overlap; only index lookups/updates take the
-  // owning shard's mutex.
+void IntermediateStore::CountMiss(Shard& shard) {
+  if (shard.misses != nullptr) {
+    shard.misses->Add(1);
+    misses_total_->Add(1);
+  }
+}
+
+Result<std::shared_ptr<const std::string>> IntermediateStore::GetBytes(
+    uint64_t signature) {
+  // The backend read — the expensive part — runs outside any shard lock
+  // so concurrent loads (the parallel executor's warm path) actually
+  // overlap; only index lookups/updates take the owning shard's mutex.
   Shard& shard = ShardFor(signature);
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     if (shard.entries.count(signature) == 0) {
-      if (shard.misses != nullptr) {
-        shard.misses->Add(1);
-        misses_total_->Add(1);
-      }
+      CountMiss(shard);
       return Status::NotFound(
           StrFormat("no stored result for signature %s",
                     HashToHex(signature).c_str()));
     }
   }
-  ScopedTimer timer(options_.clock);
   auto payload = backend_->Read(signature);
   if (!payload.ok()) {
-    // Payload vanished or failed verification: self-heal by evicting.
-    HELIX_LOG(Warning) << "store entry unreadable, evicting "
+    // The payload was removed since the index check (a concurrent Remove
+    // or eviction), or it failed verification. Either way the caller
+    // ends up recomputing (a miss), and evicting the index entry heals a
+    // payload that is gone for good.
+    (void)EvictOne(signature);
+    CountMiss(shard);
+    if (payload.status().IsNotFound()) {
+      return Status::NotFound(
+          StrFormat("stored result for signature %s was removed",
+                    HashToHex(signature).c_str()));
+    }
+    HELIX_LOG(Warning) << "store entry unreadable, evicted "
                        << HashToHex(signature) << ": "
                        << payload.status().ToString();
-    (void)EvictOne(signature);
-    if (shard.misses != nullptr) {
-      shard.misses->Add(1);  // the caller ends up recomputing: a miss
-      misses_total_->Add(1);
-    }
     return Status::Corruption("store entry unreadable: " +
                               payload.status().ToString());
   }
-  auto data =
-      dataflow::DataCollection::DeserializeFromString(payload.value());
+  // Hits are counted at the Has probe; a read only accounts for the
+  // bytes it actually moved.
+  if (shard.bytes_read != nullptr) {
+    int64_t size = static_cast<int64_t>(payload.value()->size());
+    shard.bytes_read->Add(size);
+    bytes_read_total_->Add(size);
+  }
+  return payload;
+}
+
+Result<dataflow::DataCollection> IntermediateStore::Get(
+    uint64_t signature, int64_t* load_micros_out) {
+  ScopedTimer timer(options_.clock);
+  HELIX_ASSIGN_OR_RETURN(std::shared_ptr<const std::string> payload,
+                         GetBytes(signature));
+  // Bytes read back from a persistent backend crossed a trust boundary
+  // (the disk), so their envelope is verified. A volatile backend hands
+  // out the very buffer this process serialized, which never left RAM:
+  // parse it in place, with no copy and no checksum pass. `payload`
+  // keeps the buffer alive if a concurrent Remove drops the entry.
+  auto data = backend_->persistent()
+                  ? dataflow::DataCollection::DeserializeFromString(*payload)
+                  : dataflow::DataCollection::ParseEnvelope(*payload);
   if (!data.ok()) {
     HELIX_LOG(Warning) << "store entry corrupt, evicting "
                        << HashToHex(signature) << ": "
                        << data.status().ToString();
     (void)EvictOne(signature);
-    if (shard.misses != nullptr) {
-      shard.misses->Add(1);
-      misses_total_->Add(1);
-    }
+    CountMiss(ShardFor(signature));
     return data.status();
   }
   int64_t elapsed = timer.ElapsedMicros();
   {
+    Shard& shard = ShardFor(signature);
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.entries.find(signature);
     if (it != shard.entries.end()) {
       it->second.load_micros = elapsed;
     }
   }
-  // Hits are counted at the Has probe; a successful Get only accounts
-  // for the bytes it actually moved.
-  if (shard.bytes_read != nullptr) {
-    shard.bytes_read->Add(static_cast<int64_t>(payload.value().size()));
-    bytes_read_total_->Add(static_cast<int64_t>(payload.value().size()));
-  }
-  ObserveRead(static_cast<int64_t>(payload.value().size()), elapsed);
+  ObserveRead(static_cast<int64_t>(payload->size()), elapsed);
   if (load_micros_out != nullptr) {
     *load_micros_out = elapsed;
   }

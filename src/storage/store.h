@@ -123,11 +123,21 @@ class IntermediateStore {
   /// Copy of the entry metadata, or nullopt. Safe under concurrency.
   std::optional<StoreEntry> GetEntry(uint64_t signature) const;
 
-  /// Reads and verifies the stored result. On corruption the entry is
-  /// evicted and Corruption is returned (NotFound if never stored).
-  /// `load_micros_out` (optional) receives the measured read time.
+  /// Reads and decodes the stored result. Disk reads verify the segment
+  /// record and the envelope checksum; memory-backend reads decode the
+  /// bytes this process serialized in place, without a copy or a
+  /// checksum pass. On corruption the entry is evicted and Corruption is
+  /// returned (NotFound if never stored). `load_micros_out` (optional)
+  /// receives the measured read time.
   Result<dataflow::DataCollection> Get(uint64_t signature,
                                        int64_t* load_micros_out = nullptr);
+
+  /// The stored envelope bytes, undecoded: what FetchOutput ships. Disk
+  /// reads verify the segment record; the envelope checksum is left to
+  /// whoever decodes the bytes. Same NotFound / evict-on-Corruption
+  /// contract as Get. The shared buffer stays valid after a concurrent
+  /// Remove or eviction.
+  Result<std::shared_ptr<const std::string>> GetBytes(uint64_t signature);
 
   /// Persists `data` under `signature`. Returns AlreadyExists if present.
   /// If the result does not fit the remaining budget, eviction (when
@@ -219,6 +229,7 @@ class IntermediateStore {
   Status EvictForLocked(int64_t bytes_needed, double incoming_score);
   // Drops one entry from index + backend; returns bytes actually freed.
   int64_t EvictOne(uint64_t signature);
+  void CountMiss(Shard& shard);
   void ObserveRead(int64_t bytes, int64_t micros);
   void ObserveWrite(int64_t bytes, int64_t micros);
 

@@ -2,6 +2,8 @@
 // DataCollection serialization envelope (including corruption handling).
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "dataflow/data_collection.h"
@@ -344,6 +346,106 @@ TEST(DataCollectionTest, TruncationDetected) {
 TEST(DataCollectionTest, GarbageRejected) {
   std::string garbage(64, 'q');
   EXPECT_FALSE(DataCollection::DeserializeFromString(garbage).ok());
+}
+
+// --- Bounded decoder counts ---------------------------------------------------
+//
+// Each decoder reads an element count and then reserves for it. A count
+// that the remaining bytes cannot hold must be Corruption before any
+// reserve: these tests overwrite one count in an envelope and re-seal the
+// FNV trailer, so the checksum passes and only the decoder's own bound
+// stands between the count and a multi-gigabyte allocation. The parse step
+// alone (ParseEnvelope, the memory-store path, which skips the checksum)
+// must reject it the same way.
+
+// Offset of the payload body in an envelope: magic, version, kind tag.
+constexpr size_t kBodyOffset = 4 + 4 + 1;
+
+void ExpectResealedCountsRejected(const DataCollection& data, size_t offset,
+                                  uint64_t honest) {
+  const std::string original = data.SerializeToString();
+  ASSERT_TRUE(DataCollection::DeserializeFromString(original).ok());
+  ASSERT_LE(offset + 8, original.size() - 8);
+  ASSERT_EQ(LoadU64LE(original.data() + offset), honest)
+      << "the test's layout does not match the encoder's";
+  // A fixed budget of hostile counts: just past what the bytes could
+  // hold, the decoders' former caps, and the extremes.
+  const uint64_t counts[] = {uint64_t{1} << 20, uint64_t{1} << 28,
+                             uint64_t{1} << 30, uint64_t{1} << 32,
+                             uint64_t{1} << 62, ~uint64_t{0}};
+  for (uint64_t count : counts) {
+    SCOPED_TRACE(StrFormat("count %llu", static_cast<unsigned long long>(
+                                             count)));
+    std::string bytes = original;
+    ByteWriter patched;
+    patched.PutU64(count);
+    bytes.replace(offset, 8, patched.data());
+    ByteWriter trailer;
+    trailer.PutU64(FnvHash64(bytes.data(), bytes.size() - 8));
+    bytes.replace(bytes.size() - 8, 8, trailer.data());
+    auto sealed = DataCollection::DeserializeFromString(bytes);
+    EXPECT_TRUE(sealed.status().IsCorruption()) << sealed.status().ToString();
+    auto parsed = DataCollection::ParseEnvelope(bytes);
+    EXPECT_TRUE(parsed.status().IsCorruption()) << parsed.status().ToString();
+  }
+}
+
+// Examples with an empty feature dict: [dict count][example count]
+// [first example's sparse vector count]...
+std::shared_ptr<ExamplesData> OneExample() {
+  auto examples = std::make_shared<ExamplesData>();
+  Example e;
+  e.features.Set(3, 1.0);
+  e.label = 1.0;
+  e.id = 42;
+  examples->Add(e);
+  return examples;
+}
+
+TEST(DecoderCountTest, ExampleCountBoundedByRemainingBytes) {
+  ExpectResealedCountsRejected(DataCollection::FromExamples(OneExample()),
+                               kBodyOffset + 8, 1);
+}
+
+TEST(DecoderCountTest, SparseVectorCountBoundedByRemainingBytes) {
+  ExpectResealedCountsRejected(DataCollection::FromExamples(OneExample()),
+                               kBodyOffset + 16, 1);
+}
+
+TEST(DecoderCountTest, ModelWeightCountBoundedByRemainingBytes) {
+  // [type length][type "lr"][bias][weight count][weights]...
+  auto model = std::make_shared<ModelData>(
+      "lr", std::vector<double>{0.5, -1.5}, 0.25);
+  ExpectResealedCountsRejected(DataCollection::FromModel(model),
+                               kBodyOffset + 8 + 2 + 8, 2);
+}
+
+TEST(DecoderCountTest, TextDocAndSpanCountsBoundedByRemainingBytes) {
+  // [doc count][id length]["d1"][text length]["t"][span count][spans]...
+  auto text = std::make_shared<TextData>();
+  text->AddDoc({"d1", "t", {{0, 1, "PERSON"}}});
+  DataCollection data = DataCollection::FromText(text);
+  ExpectResealedCountsRejected(data, kBodyOffset, 1);
+  ExpectResealedCountsRejected(data, kBodyOffset + 8 + 8 + 2 + 8 + 1, 1);
+}
+
+TEST(DataCollectionTest, ParseEnvelopeSkipsOnlyTheChecksum) {
+  DataCollection original = DataCollection::FromExamples(OneExample());
+  std::string bytes = original.SerializeToString();
+  auto parsed = DataCollection::ParseEnvelope(bytes);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->Fingerprint(), original.Fingerprint());
+  // A wrong trailer fails the verify step but not the parse step.
+  bytes.back() = static_cast<char>(bytes.back() ^ 0x01);
+  EXPECT_TRUE(DataCollection::VerifyEnvelope(bytes).IsCorruption());
+  EXPECT_TRUE(DataCollection::ParseEnvelope(bytes).ok());
+  // Structure is still checked: bad magic, short buffers.
+  std::string bad_magic = original.SerializeToString();
+  bad_magic[0] = static_cast<char>(bad_magic[0] ^ 0x01);
+  EXPECT_TRUE(DataCollection::ParseEnvelope(bad_magic).status().IsCorruption());
+  EXPECT_TRUE(DataCollection::ParseEnvelope(bytes.substr(0, 12))
+                  .status()
+                  .IsCorruption());
 }
 
 class DataCollectionFuzzTest : public ::testing::TestWithParam<uint64_t> {};

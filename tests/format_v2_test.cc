@@ -477,45 +477,6 @@ TEST(FormatV2Test, DictionaryEnvelopeCorruptionCaughtByChecksum) {
   EXPECT_TRUE(result.status().IsCorruption());
 }
 
-// --- zero-copy span serialization --------------------------------------------
-
-TEST(FormatV2Test, SerializeToSpansIsByteIdenticalToString) {
-  // Both a dict-heavy table and a plain mixed-type table: the span path
-  // must flatten to the exact SerializeToString bytes (same envelope,
-  // same checksum) — WriteFrameSpans relies on this identity.
-  std::vector<DataCollection> cases;
-  cases.push_back(DataCollection::FromTable(MakeDictTable()));
-  auto plain = std::make_shared<TableData>(Schema({
-      {"i", ValueType::kInt},
-      {"d", ValueType::kDouble},
-      {"b", ValueType::kBool},
-      {"s", ValueType::kString},
-  }));
-  ASSERT_TRUE(plain
-                  ->AppendRow({Value(int64_t{1}), Value(0.5), Value(true),
-                               Value("one")})
-                  .ok());
-  ASSERT_TRUE(plain
-                  ->AppendRow({Value::Null(), Value::Null(), Value::Null(),
-                               Value::Null()})
-                  .ok());
-  cases.push_back(DataCollection::FromTable(plain));
-  for (const DataCollection& dc : cases) {
-    std::string flat = dc.SerializeToString();
-    SpanWriter spans;
-    dc.SerializeToSpans(&spans);
-    EXPECT_EQ(spans.TotalBytes(), flat.size());
-    EXPECT_EQ(spans.Flatten(), flat);
-    // With a caller prefix already in the scratch writer (the reply
-    // status in the wire path), the envelope bytes — and its checksum,
-    // which must exclude the prefix — are unchanged.
-    SpanWriter prefixed;
-    prefixed.writer()->PutU32(0xfeedfaceu);
-    dc.SerializeToSpans(&prefixed);
-    EXPECT_EQ(prefixed.Flatten().substr(4), flat);
-  }
-}
-
 }  // namespace
 }  // namespace dataflow
 }  // namespace helix

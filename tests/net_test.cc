@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -1125,86 +1126,110 @@ TEST_F(NetTest, SlowReaderIsTornDownAndClassifiedInEventMode) {
   (*server)->Stop();
 }
 
-// --- FetchOutput / zero-copy reply path -----------------------------------
+// --- FetchOutput: the stored envelope, verbatim ------------------------------
 
-// Runs one iteration against a fresh server (materializing every output)
-// and fetches every output back by the signature the reply carried.
-// Returns the fetched collections' serialized bytes, name-ordered.
-void RunAndFetchOutputs(const std::string& workspace, bool zero_copy,
-                        std::vector<std::string>* fetched_bytes,
-                        bool event_loop = true) {
-  ServerOptions options;
-  options.event_loop = event_loop;
-  options.service.workspace_dir = workspace;
-  options.service.num_threads = 2;
-  options.service.mat_policy =
-      std::make_shared<core::AlwaysMaterializePolicy>();
-  options.zero_copy_replies = zero_copy;
-  auto server = HelixServer::Start(options, SyntheticResolver());
-  ASSERT_TRUE(server.ok()) << server.status().ToString();
-  auto client = HelixClient::Connect("127.0.0.1", (*server)->port());
-  ASSERT_TRUE(client.ok());
-  auto session = (*client)->OpenSession("fetcher");
-  ASSERT_TRUE(session.ok());
-  auto result = (*client)->RunIteration(session.value(),
-                                        MakeSyntheticSpec(/*seed=*/77, 0),
-                                        "iter-0", ChangeCategory::kInitial);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_FALSE(result->outputs.empty());
-  for (const RemoteOutput& output : result->outputs) {
-    ASSERT_NE(output.signature, 0u)
-        << "server could not resolve the producing node for "
-        << output.name;
-    auto fetched = (*client)->FetchOutput(output.signature);
-    ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
-    // The payload that came over the wire is the very output the
-    // iteration fingerprinted.
-    EXPECT_EQ(fetched->Fingerprint(), output.fingerprint)
-        << "output " << output.name;
-    fetched_bytes->push_back(fetched->SerializeToString());
-  }
-  // A signature the store has never seen is a clean remote NotFound.
-  auto missing = (*client)->FetchOutput(0x0BADC0DEDEADBEEFULL);
-  ASSERT_FALSE(missing.ok());
-  EXPECT_TRUE(missing.status().IsNotFound())
-      << missing.status().ToString();
-  EXPECT_NE(missing.status().message().find("remote: "), std::string::npos);
-  (*server)->Stop();
+// Sends one raw FetchOutput frame and returns what follows the reply's OK
+// status: the envelope bytes exactly as the server sent them.
+Result<std::string> FetchEnvelopeBytes(int port, uint64_t signature) {
+  HELIX_ASSIGN_OR_RETURN(std::unique_ptr<TcpConnection> conn,
+                         Connect("127.0.0.1", port));
+  Frame request;
+  request.opcode = static_cast<uint8_t>(Opcode::kFetchOutput);
+  request.request_id = 1;
+  request.payload = EncodeFetchOutputRequest(signature);
+  HELIX_RETURN_IF_ERROR(WriteFrame(conn.get(), request));
+  HELIX_ASSIGN_OR_RETURN(Frame reply,
+                         ReadFrame(conn.get(), kDefaultMaxPayloadBytes));
+  ByteReader in(reply.payload);
+  Status remote;
+  HELIX_RETURN_IF_ERROR(DecodeStatus(&in, &remote));
+  HELIX_RETURN_IF_ERROR(remote);
+  return reply.payload.substr(reply.payload.size() - in.remaining());
 }
 
-// The no-copy guarantee must be invisible, in both transport modes: a
-// client fetching the same deterministic outputs receives byte-identical
-// payloads across {zero-copy, flatten} x {event loop, reader threads} —
-// including the event loop's queued-spans path, where the reply pins its
-// DataCollection until the kernel takes the bytes.
-TEST_F(NetTest, FetchOutputByteIdenticalAcrossCopyPathsAndModes) {
+// FetchOutput ships the stored envelope without decoding or re-encoding
+// it. On either backend and either transport, the reply payload after the
+// status is exactly SerializeToString() of the output: the output as an
+// in-process run computes it, and every other stored intermediate as the
+// server's store decodes it.
+TEST_F(NetTest, FetchOutputReplyIsTheSerializedOutput) {
+  constexpr uint64_t kSeed = 77;
+  std::map<std::string, std::string> expected;
+  {
+    core::SessionOptions options;
+    options.workspace_dir = JoinPath(dir_, "in-process");
+    auto session = core::Session::Open(options);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    auto result = (*session)->RunIteration(SyntheticApp(kSeed).Build(0),
+                                           "iter-0", ChangeCategory::kInitial);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    for (const auto& [name, data] : result->report.outputs) {
+      expected[name] = data.SerializeToString();
+    }
+  }
+  ASSERT_FALSE(expected.empty());
+
   struct Variant {
     const char* tag;
-    bool zero_copy;
+    storage::StorageBackendKind backend;
     bool event_loop;
   };
   const Variant variants[] = {
-      {"zc-event", true, true},
-      {"copy-event", false, true},
-      {"zc-thread", true, false},
-      {"copy-thread", false, false},
+      {"memory-event", storage::StorageBackendKind::kMemory, true},
+      {"disk-event", storage::StorageBackendKind::kDisk, true},
+      {"memory-thread", storage::StorageBackendKind::kMemory, false},
+      {"disk-thread", storage::StorageBackendKind::kDisk, false},
   };
-  std::vector<std::vector<std::string>> fetched(4);
-  for (size_t v = 0; v < 4; ++v) {
-    SCOPED_TRACE(variants[v].tag);
-    RunAndFetchOutputs(JoinPath(dir_, variants[v].tag),
-                       variants[v].zero_copy, &fetched[v],
-                       variants[v].event_loop);
-    if (::testing::Test::HasFatalFailure()) {
-      return;
+  for (const Variant& variant : variants) {
+    SCOPED_TRACE(variant.tag);
+    ServerOptions options;
+    options.event_loop = variant.event_loop;
+    options.service.workspace_dir = JoinPath(dir_, variant.tag);
+    options.service.storage_backend = variant.backend;
+    options.service.num_threads = 2;
+    options.service.mat_policy =
+        std::make_shared<core::AlwaysMaterializePolicy>();
+    auto server = HelixServer::Start(options, SyntheticResolver());
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    auto client = HelixClient::Connect("127.0.0.1", (*server)->port());
+    ASSERT_TRUE(client.ok());
+    auto session = (*client)->OpenSession("fetcher");
+    ASSERT_TRUE(session.ok());
+    auto result = (*client)->RunIteration(
+        session.value(), MakeSyntheticSpec(kSeed, 0), "iter-0",
+        ChangeCategory::kInitial);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->outputs.size(), expected.size());
+    for (const RemoteOutput& output : result->outputs) {
+      SCOPED_TRACE(output.name);
+      ASSERT_NE(output.signature, 0u);
+      auto bytes = FetchEnvelopeBytes((*server)->port(), output.signature);
+      ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+      EXPECT_EQ(bytes.value(), expected[output.name]);
+      auto fetched = (*client)->FetchOutput(output.signature);
+      ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
+      EXPECT_EQ(fetched->Fingerprint(), output.fingerprint);
     }
-  }
-  for (size_t v = 1; v < 4; ++v) {
-    ASSERT_EQ(fetched[0].size(), fetched[v].size()) << variants[v].tag;
-    for (size_t i = 0; i < fetched[0].size(); ++i) {
-      EXPECT_EQ(fetched[0][i], fetched[v][i])
-          << variants[v].tag << " output " << i;
+    storage::IntermediateStore* store = (*server)->service()->store();
+    (*server)->service()->materializer()->Drain();
+    std::vector<storage::StoreEntry> entries = store->Entries();
+    EXPECT_GT(entries.size(), expected.size());
+    for (const storage::StoreEntry& entry : entries) {
+      SCOPED_TRACE(entry.node_name);
+      auto stored = store->Get(entry.signature);
+      ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+      auto bytes = FetchEnvelopeBytes((*server)->port(), entry.signature);
+      ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+      EXPECT_EQ(bytes.value(), stored->SerializeToString());
     }
+    // A signature the store has never seen is a clean remote NotFound.
+    auto missing = (*client)->FetchOutput(0x0BADC0DEDEADBEEFULL);
+    ASSERT_FALSE(missing.ok());
+    EXPECT_TRUE(missing.status().IsNotFound())
+        << missing.status().ToString();
+    EXPECT_NE(missing.status().message().find("remote: "),
+              std::string::npos);
+    (*server)->Stop();
   }
 }
 
@@ -1363,6 +1388,99 @@ TEST_F(NetTest, FetchOutputWaitsForAWriteStillBehind) {
       << "the sibling never shared the blocked output in 5 rounds";
   clock.Release();
   (*server)->Stop();
+}
+
+// RunIteration replies carry each output's fingerprint. A loaded output
+// reports the fingerprint its store entry recorded when it was written,
+// without re-hashing the data; computed and shared outputs are hashed.
+// Each must equal the fingerprint of the data the output holds, on both
+// backends.
+TEST_F(NetTest, RunIterationReplyFingerprintsMatchTheData) {
+  for (storage::StorageBackendKind backend :
+       {storage::StorageBackendKind::kMemory,
+        storage::StorageBackendKind::kDisk}) {
+    SCOPED_TRACE(storage::StorageBackendKindToString(backend));
+    BlockingOutputApp app;
+    ServerOptions options;
+    options.service.workspace_dir = JoinPath(
+        dir_, std::string("fingerprints-") +
+                  storage::StorageBackendKindToString(backend));
+    options.service.storage_backend = backend;
+    options.service.num_threads = 2;
+    options.service.mat_policy =
+        std::make_shared<core::AlwaysMaterializePolicy>();
+    auto server = HelixServer::Start(options, app.Resolver());
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    std::unique_ptr<HelixClient> clients[2];
+    uint64_t sessions[2];
+    for (int u = 0; u < 2; ++u) {
+      auto client = HelixClient::Connect("127.0.0.1", (*server)->port());
+      ASSERT_TRUE(client.ok()) << client.status().ToString();
+      clients[u] = std::move(client).value();
+      auto session = clients[u]->OpenSession("user-" + std::to_string(u));
+      ASSERT_TRUE(session.ok()) << session.status().ToString();
+      sessions[u] = session.value();
+    }
+    auto spec_for = [](int round, int user) {
+      WorkflowSpec spec;
+      spec.app = "fetch-behind";
+      spec.SetInt("round", round);
+      spec.SetInt("user", user);
+      return spec;
+    };
+    // Every output of `result` holds data with the reply's fingerprint.
+    auto expect_fingerprints = [&](int user,
+                                   const RemoteIterationResult& result) {
+      for (const RemoteOutput& output : result.outputs) {
+        SCOPED_TRACE(output.name);
+        auto fetched = clients[user]->FetchOutput(output.signature);
+        ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
+        EXPECT_EQ(output.fingerprint, fetched->Fingerprint());
+      }
+    };
+
+    // Computed and shared: session 0 computes "shared" while session 1
+    // waits for it in the in-flight table. Whether session 1 gets there
+    // before the gate opens is up to the scheduler; retry a few rounds.
+    int shared_round = 0;
+    for (int round = 1; round <= 5 && shared_round == 0; ++round) {
+      SCOPED_TRACE("round " + std::to_string(round));
+      app.Reset();
+      Result<RemoteIterationResult> results[2] = {
+          Status::Internal("not run"), Status::Internal("not run")};
+      auto run = [&](int u) {
+        results[u] = clients[u]->RunIteration(
+            sessions[u], spec_for(round, u), "it", ChangeCategory::kInitial);
+      };
+      std::thread owner(run, 0);
+      app.WaitStarted();
+      std::thread sibling(run, 1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      app.Open();
+      owner.join();
+      sibling.join();
+      for (int u = 0; u < 2; ++u) {
+        ASSERT_TRUE(results[u].ok()) << results[u].status().ToString();
+        expect_fingerprints(u, *results[u]);
+      }
+      if (results[1]->num_shared > 0) {
+        shared_round = round;
+      }
+    }
+    ASSERT_NE(shared_round, 0)
+        << "the sibling never shared the blocked output in 5 rounds";
+
+    // Loaded: the same spec again in session 0 loads both outputs.
+    auto rerun = clients[0]->RunIteration(
+        sessions[0], spec_for(shared_round, 0), "again",
+        ChangeCategory::kInitial);
+    ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
+    EXPECT_EQ(rerun->num_computed, 0);
+    EXPECT_EQ(rerun->num_shared, 0);
+    EXPECT_GE(rerun->num_loaded, 2);
+    expect_fingerprints(0, rerun.value());
+    (*server)->Stop();
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <optional>
 #include <thread>
 
@@ -529,6 +530,55 @@ TEST_F(StoreTest, MemoryBackendRoundTripAndForgetsOnReopen) {
   EXPECT_EQ(reopened.value()->NumEntries(), 0u);
 }
 
+// A memory-backend Get decodes the backend's own buffer in place, with no
+// copy. A Remove of the same signature racing it drops the backend's
+// reference mid-decode; the reader's reference keeps the bytes alive, so
+// the Get either decodes intact bytes or finds nothing, never torn ones.
+TEST_F(StoreTest, MemoryGetRacingRemoveDecodesIntactBytesOrNotFound) {
+  StoreOptions options;
+  options.backend = StorageBackendKind::kMemory;
+  auto opened = IntermediateStore::Open("", options);
+  ASSERT_TRUE(opened.ok());
+  IntermediateStore* store = opened.value().get();
+  DataCollection data = MakeCollection(std::string(64, 'x'), 5000);
+  const uint64_t fingerprint = data.Fingerprint();
+  constexpr int kRounds = 200;
+  int decoded = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    ASSERT_TRUE(store->Put(7, "node", data, round).ok());
+    // Both threads spin until both are ready; the Remove then waits a
+    // round-dependent 0-90 us, so across rounds it lands before the Get,
+    // while it decodes, and after it.
+    std::atomic<int> ready{0};
+    auto wait_for_both = [&]() {
+      ready.fetch_add(1);
+      while (ready.load() < 2) {
+      }
+    };
+    Result<DataCollection> got = Status::Internal("not run");
+    std::thread reader([&]() {
+      wait_for_both();
+      got = store->Get(7);
+    });
+    std::thread remover([&]() {
+      wait_for_both();
+      std::this_thread::sleep_for(std::chrono::microseconds(round % 10 * 10));
+      EXPECT_TRUE(store->Remove(7).ok());
+    });
+    reader.join();
+    remover.join();
+    if (got.ok()) {
+      ++decoded;
+      EXPECT_EQ(got->Fingerprint(), fingerprint);
+    } else {
+      EXPECT_TRUE(got.status().IsNotFound()) << got.status().ToString();
+    }
+    EXPECT_EQ(store->NumEntries(), 0u);
+  }
+  EXPECT_EQ(store->TotalBytes(), 0);
+  RecordProperty("decoded_of_200", decoded);
+}
+
 TEST_F(StoreTest, ShardCountOneMatchesShardedStore) {
   // The same operation sequence against a 1-shard (legacy single-mutex)
   // and an 8-shard store must be observationally identical.
@@ -795,7 +845,7 @@ TEST_F(DiskBackendTest, SegmentsRollAtSizeThreshold) {
   for (uint64_t sig = 1; sig <= 8; ++sig) {
     auto read = backend->Read(sig);
     ASSERT_TRUE(read.ok());
-    EXPECT_EQ(read.value(), payload);
+    EXPECT_EQ(*read.value(), payload);
   }
 }
 
@@ -805,7 +855,7 @@ TEST_F(DiskBackendTest, OverwriteRetiresOldRecordAndReadsNew) {
   ASSERT_TRUE(backend->Write(Meta(1, "newer"), "newer").ok());
   auto read = backend->Read(1);
   ASSERT_TRUE(read.ok());
-  EXPECT_EQ(read.value(), "newer");
+  EXPECT_EQ(*read.value(), "newer");
   EXPECT_EQ(backend->NumIndexed(), 1u);
   EXPECT_GT(backend->DeadBytes(), 0);
 }
@@ -827,7 +877,7 @@ TEST_F(DiskBackendTest, CompactionReclaimsDeadSpaceAndKeepsLive) {
   for (uint64_t sig = 19; sig <= 20; ++sig) {
     auto read = backend->Read(sig);
     ASSERT_TRUE(read.ok());
-    EXPECT_EQ(read.value(), payload);
+    EXPECT_EQ(*read.value(), payload);
   }
   // Compacted state also survives a reopen.
   backend.reset();
@@ -941,7 +991,7 @@ TEST_F(DiskBackendTest, ConcurrentWritersRecoverEveryPayload) {
     EXPECT_EQ(entry.fingerprint, FnvHash64(payload.data(), payload.size()));
     auto read = backend.value()->Read(entry.signature);
     ASSERT_TRUE(read.ok()) << read.status().ToString();
-    EXPECT_EQ(read.value(), payload);
+    EXPECT_EQ(*read.value(), payload);
   }
 }
 
