@@ -21,8 +21,8 @@ const char* SystemKindToString(SystemKind kind) {
       return "helix-am";
     case SystemKind::kHelixNeverMaterialize:
       return "helix-nm";
-    case SystemKind::kHelixReusePredict:
-      return "helix-rp";
+    case SystemKind::kHelixPaperRule:
+      return "helix-cm";
   }
   return "?";
 }
@@ -38,7 +38,7 @@ core::SessionOptions MakeSessionOptions(SystemKind kind,
 
   switch (kind) {
     case SystemKind::kHelix:
-      // Defaults: optimal planner, online cost-model policy, slicing.
+      // Defaults: optimal planner, reuse-aware policy, slicing.
       break;
     case SystemKind::kHelixUnopt:
       options.enable_materialization = false;
@@ -64,8 +64,8 @@ core::SessionOptions MakeSessionOptions(SystemKind kind,
     case SystemKind::kHelixNeverMaterialize:
       options.enable_materialization = false;
       break;
-    case SystemKind::kHelixReusePredict:
-      options.mat_policy = std::make_shared<core::ReusePredictingPolicy>();
+    case SystemKind::kHelixPaperRule:
+      options.mat_policy = std::make_shared<core::OnlineCostModelPolicy>();
       break;
   }
   return options;

@@ -4,8 +4,8 @@
 // configurations of the same execution machinery so that runtime
 // differences reflect *policy*, not implementation:
 //
-//  * HELIX          — min-cut OPT recomputation planner + online
-//                     cost-model materialization (the full system).
+//  * HELIX          — min-cut OPT recomputation planner + reuse-aware
+//                     online materialization (the full system).
 //  * HELIX-unopt    — the demo's "without optimizations" mode: no
 //                     materialization, no reuse, no slicing.
 //  * KeystoneML     — one-shot optimizer: slicing/CSE within an iteration
@@ -19,6 +19,8 @@
 //  * HELIX-AM       — ablation: always-materialize all phases.
 //  * HELIX-NM       — ablation: never materialize, but keep the optimal
 //                     planner (isolates the materialization decision).
+//  * HELIX-CM       — ablation: the paper's cost-model rule r_i < 0,
+//                     which assumes every stored result is reused.
 #ifndef HELIX_BASELINES_BASELINES_H_
 #define HELIX_BASELINES_BASELINES_H_
 
@@ -36,9 +38,9 @@ enum class SystemKind : uint8_t {
   kDeepDive = 3,
   kHelixAlwaysMaterialize = 4,
   kHelixNeverMaterialize = 5,
-  /// HELIX with the reuse-probability-predicting policy (the paper's
-  /// Section 2.3 "ongoing work" extension).
-  kHelixReusePredict = 6,
+  /// HELIX with the paper's r_i rule instead of the reuse-aware default
+  /// (ablation).
+  kHelixPaperRule = 6,
 };
 
 const char* SystemKindToString(SystemKind kind);

@@ -218,6 +218,11 @@ void MaybeMaterialize(ExecState* st, int node,
       ctx.ancestors_compute_micros += KnownComputeCost(*st, a);
     }
   }
+  if (opts.stats != nullptr) {
+    storage::ReuseHistory history = opts.stats->GetReuseHistory(op.name());
+    ctx.times_materialized = history.materialized;
+    ctx.times_reused = history.reused;
+  }
 
   if (!opts.mat_policy->ShouldMaterialize(ctx)) {
     return;
@@ -233,6 +238,9 @@ void MaybeMaterialize(ExecState* st, int node,
     request.compute_micros = record->cost_micros;
     request.stats = opts.stats;
     st->materializer->Enqueue(std::move(request));
+    if (opts.stats != nullptr) {
+      opts.stats->RecordMaterialized(op.name());
+    }
     // Only back-pressure makes Enqueue take measurable time.
     record->materialized = true;
     record->materialize_micros = opts.clock->NowMicros() - start;
@@ -255,6 +263,7 @@ void MaybeMaterialize(ExecState* st, int node,
       opts.clock, start, op.synthetic_costs().write_micros);
   st->materialize_total += record->materialize_micros;
   if (opts.stats != nullptr) {
+    opts.stats->RecordMaterialized(op.name());
     std::optional<storage::StoreEntry> entry = opts.store->GetEntry(sig);
     if (entry.has_value()) {
       opts.stats->RecordSize(sig, op.name(), entry->size_bytes,
@@ -297,6 +306,9 @@ Status LoadNodeFromStore(ExecState* st, int node) {
   record.cost_micros = ChargeAndMeasure(options.clock, start,
                                         op.synthetic_costs().load_micros);
   record.output_bytes = loaded.value().SizeBytes();
+  // A re-load of an intermediate that memory planning dropped reads the
+  // same stored result again; count one reuse per node per iteration.
+  bool first_production = !st->produced_once[static_cast<size_t>(node)];
   st->results[static_cast<size_t>(node)] = std::move(loaded).value();
   st->produced_once[static_cast<size_t>(node)] = 1;
   st->AddResident(record.output_bytes);
@@ -304,6 +316,9 @@ Status LoadNodeFromStore(ExecState* st, int node) {
     std::lock_guard<std::mutex> lock(st->stats_mu);
     options.stats->RecordLoad(sig, op.name(), record.cost_micros,
                               options.iteration);
+    if (first_production) {
+      options.stats->RecordReused(op.name());
+    }
   }
   return Status::OK();
 }

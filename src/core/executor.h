@@ -71,7 +71,7 @@ struct ExecutionOptions {
   /// Materialization store; nullptr disables both reuse and persistence.
   storage::IntermediateStore* store = nullptr;
   /// Cross-iteration statistics; nullptr disables stat reuse (costs are
-  /// then estimated pessimistically).
+  /// then estimated pessimistically, and the reuse history reads empty).
   storage::CostStatsRegistry* stats = nullptr;
   /// Materialization decision rule; nullptr = never materialize.
   const MaterializationPolicy* mat_policy = nullptr;

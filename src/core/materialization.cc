@@ -39,15 +39,11 @@ bool PhaseFilterPolicy::ShouldMaterialize(
 }
 
 double ReusePredictingPolicy::PredictedReuseProbability(
-    const std::string& node_name) const {
+    const MaterializationContext& ctx) const {
   double alpha = options_.prior_strength * options_.prior_reuse_probability;
   double beta = options_.prior_strength;
-  auto it = history_.find(node_name);
-  if (it == history_.end()) {
-    return alpha / beta;
-  }
-  return (alpha + static_cast<double>(it->second.reused)) /
-         (beta + static_cast<double>(it->second.materialized));
+  return (alpha + static_cast<double>(ctx.times_reused)) /
+         (beta + static_cast<double>(ctx.times_materialized));
 }
 
 bool ReusePredictingPolicy::ShouldMaterialize(
@@ -62,21 +58,8 @@ bool ReusePredictingPolicy::ShouldMaterialize(
   if (saving_if_reused <= 0) {
     return false;
   }
-  double p = PredictedReuseProbability(ctx.node_name);
+  double p = PredictedReuseProbability(ctx);
   return p * saving_if_reused > static_cast<double>(ctx.est_load_micros);
-}
-
-void ReusePredictingPolicy::ObserveOutcomes(
-    const std::vector<NodeOutcome>& outcomes) {
-  for (const NodeOutcome& outcome : outcomes) {
-    History& h = history_[outcome.name];
-    if (outcome.materialized) {
-      ++h.materialized;
-    }
-    if (outcome.loaded) {
-      ++h.reused;
-    }
-  }
 }
 
 std::vector<size_t> SolveOfflineKnapsack(

@@ -11,14 +11,27 @@
 // where l_i is the (estimated) load cost, c_i the compute cost, and A(n_i)
 // the ancestors of n_i. Materializing costs about one write (~l_i) now and
 // saves (c_i + ancestor computes) - l_i next iteration, so materialize
-// when r_i < 0 and the result fits in the remaining budget.
+// when r_i < 0 and the result fits in the remaining budget. That rule
+// assumes every stored result is read again; the paper names predicting
+// reuse as ongoing work, and HELIX's default rule does it:
+//
+//     p̂ · [(c_i + sum c_j) - l_i] > l_i
+//
+// with p̂ the node name's predicted reuse probability. At p̂ = 1 this is
+// exactly r_i < 0.
 //
 // Policies implemented:
-//   * OnlineCostModelPolicy  — the paper's rule (HELIX's default)
+//   * ReusePredictingPolicy   — the reuse-aware rule (HELIX's default)
+//   * OnlineCostModelPolicy   — the paper's rule, kept as an ablation
 //   * AlwaysMaterializePolicy — DeepDive-style materialize-everything
 //   * NeverMaterializePolicy  — KeystoneML-style
 //   * PhaseFilterPolicy       — restricts another policy to given phases
 //     (DeepDive materializes pre-processing results only)
+//
+// Every policy is a pure function of its MaterializationContext. The
+// history the reuse-aware rule learns from lives in the shared, persisted
+// CostStatsRegistry, which the executor updates and reads into the
+// context; one policy object may serve any number of concurrent sessions.
 //
 // SolveOfflineKnapsack computes the clairvoyant-OPT selection for the
 // ablation benchmark, under the paper's simplifying assumption (one more
@@ -27,7 +40,6 @@
 #define HELIX_CORE_MATERIALIZATION_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -51,13 +63,11 @@ struct MaterializationContext {
   int64_t size_bytes = 0;
   /// Remaining storage budget.
   int64_t remaining_budget_bytes = 0;
-};
-
-/// Per-node outcome of one iteration, fed back to adaptive policies.
-struct NodeOutcome {
-  std::string name;
-  bool loaded = false;        // reused a stored result this iteration
-  bool materialized = false;  // persisted a fresh result this iteration
+  /// This node name's reuse history (storage::ReuseHistory): results
+  /// materialized, and stored results loaded back, by every session
+  /// sharing the stats registry. 0 and 0 without history.
+  int64_t times_materialized = 0;
+  int64_t times_reused = 0;
 };
 
 /// Online materialization decision rule.
@@ -68,17 +78,12 @@ class MaterializationPolicy {
   /// True to persist the result described by `ctx`.
   virtual bool ShouldMaterialize(const MaterializationContext& ctx) const = 0;
 
-  /// Called by the session after each iteration with what actually
-  /// happened; adaptive policies (ReusePredictingPolicy) learn from it.
-  virtual void ObserveOutcomes(const std::vector<NodeOutcome>& outcomes) {
-    (void)outcomes;
-  }
-
   /// Human-readable policy name (reports / benchmarks).
   virtual std::string name() const = 0;
 };
 
 /// The paper's cost-model rule: materialize iff r_i < 0 and it fits.
+/// Ignores the reuse history; the "helix-cm" ablation.
 class OnlineCostModelPolicy final : public MaterializationPolicy {
  public:
   bool ShouldMaterialize(const MaterializationContext& ctx) const override;
@@ -123,17 +128,18 @@ class PhaseFilterPolicy final : public MaterializationPolicy {
   std::vector<Phase> phases_;
 };
 
-/// The paper's "ongoing work" extension (Section 2.3): predict each
-/// node's reuse probability from its history and materialize when the
-/// *expected* future saving exceeds the write cost:
+/// HELIX's default rule, the paper's "ongoing work" extension (Section
+/// 2.3): predict each node's reuse probability from its history and
+/// materialize when the *expected* future saving exceeds the write cost:
 ///
-///     p̂(name) · [ (c_i + Σ ancestors c_j) − l_i ]  >  l_i
+///     p̂ · [ (c_i + Σ ancestors c_j) − l_i ]  >  l_i
 ///
-/// p̂ is a Beta-smoothed estimate of "fraction of materializations of this
-/// node name that were later reused (loaded)". With no history the prior
-/// makes it behave close to the plain cost-model rule; nodes that keep
-/// getting invalidated before reuse (e.g. a feature the user churns on)
-/// quickly stop being persisted.
+/// p̂ is a Beta-smoothed estimate of "loads per materialization of this
+/// node name", from the context's history counts. With no history the
+/// prior (0.6) asks for a saving of 1/0.6 write costs, a little stricter
+/// than the paper's rule; nodes that keep getting invalidated before reuse
+/// (a feature the user churns on, a scan over a growing stream) quickly
+/// stop being persisted, and nodes that are loaded back keep being.
 class ReusePredictingPolicy final : public MaterializationPolicy {
  public:
   struct Options {
@@ -147,20 +153,13 @@ class ReusePredictingPolicy final : public MaterializationPolicy {
   explicit ReusePredictingPolicy(Options options) : options_(options) {}
 
   bool ShouldMaterialize(const MaterializationContext& ctx) const override;
-  void ObserveOutcomes(const std::vector<NodeOutcome>& outcomes) override;
-  std::string name() const override { return "reuse-predicting"; }
+  std::string name() const override { return "helix-reuse"; }
 
-  /// Current estimate of p̂ for a node name (exposed for tests).
-  double PredictedReuseProbability(const std::string& node_name) const;
+  /// p̂ for the history carried by `ctx` (exposed for tests).
+  double PredictedReuseProbability(const MaterializationContext& ctx) const;
 
  private:
-  struct History {
-    int64_t materialized = 0;
-    int64_t reused = 0;
-  };
-
   Options options_;
-  std::map<std::string, History> history_;
 };
 
 /// One candidate for offline selection.

@@ -59,7 +59,7 @@ Result<std::unique_ptr<Session>> Session::Open(
   }
   session->policy_ = options.mat_policy;
   if (session->policy_ == nullptr) {
-    session->policy_ = std::make_shared<OnlineCostModelPolicy>();
+    session->policy_ = std::make_shared<ReusePredictingPolicy>();
   }
   return session;
 }
@@ -120,20 +120,6 @@ Result<IterationResult> Session::RunIteration(const Workflow& workflow,
         queued_writes_.push_back(node.signature);
       }
     }
-  }
-
-  // Feed outcomes back to adaptive policies (ReusePredictingPolicy).
-  if (options_.enable_materialization && policy_ != nullptr) {
-    std::vector<NodeOutcome> outcomes;
-    outcomes.reserve(report.nodes.size());
-    for (const NodeExecution& node : report.nodes) {
-      NodeOutcome outcome;
-      outcome.name = node.name;
-      outcome.loaded = node.state == NodeState::kLoad;
-      outcome.materialized = node.materialized;
-      outcomes.push_back(std::move(outcome));
-    }
-    policy_->ObserveOutcomes(outcomes);
   }
 
   IterationResult result;

@@ -48,8 +48,9 @@ struct SessionOptions {
   /// lowest-retention-score entries instead of being refused.
   bool storage_eviction = true;
   Clock* clock = SystemClock::Default();
-  /// Materialization decision rule; nullptr selects the paper's online
-  /// cost-model policy. Ignored when materialization is disabled.
+  /// Materialization decision rule; nullptr selects the reuse-aware
+  /// default (ReusePredictingPolicy). Ignored when materialization is
+  /// disabled.
   std::shared_ptr<MaterializationPolicy> mat_policy;
   bool enable_materialization = true;
   PlannerKind planner = PlannerKind::kOptimal;

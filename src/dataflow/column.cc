@@ -319,6 +319,22 @@ void MixedColumn::SerializeBody(ByteWriter* w) const {
 
 // --- Deserialization ---------------------------------------------------------
 
+namespace {
+
+// The row count comes from the table header, so a column cannot trust it:
+// every row takes at least `min_row_bytes` of what is left, and a count
+// the bytes cannot hold is rejected before anything is sized from it.
+Status CheckRowsFit(const ByteReader& r, size_t n, size_t min_row_bytes,
+                    const char* what) {
+  if (n > r.remaining() / min_row_bytes) {
+    return Status::Corruption(std::string(what) +
+                              " row count exceeds the remaining bytes");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<std::shared_ptr<const Column>> Column::Deserialize(ByteReader* r,
                                                           int64_t num_rows) {
   HELIX_ASSIGN_OR_RETURN(uint8_t tag, r->GetU8());
@@ -337,6 +353,7 @@ Result<std::shared_ptr<const Column>> Column::Deserialize(ByteReader* r,
   }
   switch (static_cast<Storage>(tag)) {
     case Storage::kInt64: {
+      HELIX_RETURN_IF_ERROR(CheckRowsFit(*r, n, sizeof(int64_t), "int64"));
       std::vector<int64_t> values(n);
       HELIX_RETURN_IF_ERROR(
           r->GetU64Array(reinterpret_cast<uint64_t*>(values.data()), n));
@@ -344,6 +361,7 @@ Result<std::shared_ptr<const Column>> Column::Deserialize(ByteReader* r,
           std::move(values), std::move(validity), null_count));
     }
     case Storage::kDouble: {
+      HELIX_RETURN_IF_ERROR(CheckRowsFit(*r, n, sizeof(double), "double"));
       std::vector<double> values(n);
       HELIX_RETURN_IF_ERROR(
           r->GetU64Array(reinterpret_cast<uint64_t*>(values.data()), n));
@@ -368,6 +386,10 @@ Result<std::shared_ptr<const Column>> Column::Deserialize(ByteReader* r,
       }
       HELIX_ASSIGN_OR_RETURN(std::string_view arena_view,
                              r->GetRawView(static_cast<size_t>(arena_size)));
+      // n + 1 offsets of 8 bytes: bounding n guards the allocation, and
+      // GetU64Array checks the one extra offset.
+      HELIX_RETURN_IF_ERROR(
+          CheckRowsFit(*r, n, sizeof(uint64_t), "string"));
       std::string arena(arena_view);
       std::vector<uint64_t> offsets(n + 1);
       HELIX_RETURN_IF_ERROR(r->GetU64Array(offsets.data(), n + 1));
@@ -384,6 +406,8 @@ Result<std::shared_ptr<const Column>> Column::Deserialize(ByteReader* r,
           null_count));
     }
     case Storage::kMixed: {
+      // Each cell is at least its one-byte type tag.
+      HELIX_RETURN_IF_ERROR(CheckRowsFit(*r, n, 1, "mixed"));
       std::vector<Value> values;
       values.reserve(n);
       for (size_t i = 0; i < n; ++i) {
@@ -421,6 +445,8 @@ Result<std::shared_ptr<const Column>> Column::Deserialize(ByteReader* r,
           return Status::Corruption("dictionary offsets not ascending");
         }
       }
+      HELIX_RETURN_IF_ERROR(
+          CheckRowsFit(*r, n, sizeof(uint32_t), "dictionary"));
       std::vector<uint32_t> codes(n);
       HELIX_RETURN_IF_ERROR(r->GetU32Array(codes.data(), n));
       for (uint32_t c : codes) {

@@ -404,11 +404,16 @@ __attribute__((target("avx2"))) void ExpandCodes(const uint32_t* codes,
                                                  int64_t n,
                                                  const double* per_code,
                                                  double* out) {
+  // The masked gather with a zeroed source and an all-lanes mask loads
+  // the same four values as _mm256_i32gather_pd, whose intrinsic leaves
+  // its pass-through operand uninitialized.
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
   int64_t i = 0;
   for (; i + 4 <= n; i += 4) {
     __m128i c = _mm_loadu_si128(
         reinterpret_cast<const __m128i*>(codes + i));
-    __m256d v = _mm256_i32gather_pd(per_code, c, 8);
+    __m256d v = _mm256_mask_i32gather_pd(zero, per_code, c, all, 8);
     _mm256_storeu_pd(out + i, v);
   }
   for (; i < n; ++i) {

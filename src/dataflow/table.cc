@@ -209,7 +209,18 @@ Result<std::shared_ptr<TableData>> TableData::Deserialize(
   if (format_version == 1) {
     // v1: row-major tagged cells, exactly the retired row store's wire
     // form. Parsed through builders so old disk stores load as columns.
+    // Each cell is at least its one-byte type tag, so a row count the
+    // bytes left cannot hold is rejected before Reserve sizes from it;
+    // zero-field rows carry no bytes, only the header's count.
     auto table = std::make_shared<TableData>(schema);
+    if (arity == 0) {
+      table->num_rows_ = static_cast<int64_t>(n);
+      return table;
+    }
+    if (n > r->remaining() / static_cast<size_t>(arity)) {
+      return Status::Corruption(
+          "v1 table row count exceeds the remaining bytes");
+    }
     table->Reserve(static_cast<int64_t>(n));
     for (uint64_t i = 0; i < n; ++i) {
       Row row;

@@ -106,10 +106,10 @@ struct ServiceOptions {
   /// session (0 = memory planning off; see
   /// ExecutionOptions::memory_budget_bytes).
   int64_t memory_budget_bytes = 0;
-  /// Materialization policy handed to every session (nullptr = each
-  /// session gets its own OnlineCostModelPolicy). A non-null policy is
-  /// shared by all sessions: supply a stateless one, or one that
-  /// tolerates concurrent ObserveOutcomes.
+  /// Materialization policy handed to every session (nullptr = the
+  /// reuse-aware default). Policies are pure functions of their context,
+  /// so one instance serves all sessions; the reuse history they read is
+  /// the service's shared stats registry, persisted with it.
   std::shared_ptr<core::MaterializationPolicy> mat_policy;
   core::PlannerKind planner = core::PlannerKind::kOptimal;
   bool paranoid_checks = false;

@@ -8,13 +8,20 @@ namespace storage {
 
 namespace {
 constexpr uint32_t kStatsMagic = 0x53584C48;  // "HLXS"
-constexpr uint32_t kStatsVersion = 1;
+// v2 added the per-name reuse history. A v1 file is Corruption: callers
+// start with an empty registry, one cold iteration.
+constexpr uint32_t kStatsVersion = 2;
+// Smallest encodings: signature, name length, four i64 fields; and name
+// length, two i64 counts.
+constexpr size_t kMinEntryBytes = 8 + 8 + 4 * 8;
+constexpr size_t kMinReuseEntryBytes = 8 + 2 * 8;
 }  // namespace
 
 CostStatsRegistry::CostStatsRegistry(CostStatsRegistry&& other) noexcept {
   std::lock_guard<std::mutex> lock(other.mu_);
   stats_ = std::move(other.stats_);
   latest_by_name_ = std::move(other.latest_by_name_);
+  reuse_ = std::move(other.reuse_);
 }
 
 CostStatsRegistry& CostStatsRegistry::operator=(
@@ -27,6 +34,7 @@ CostStatsRegistry& CostStatsRegistry::operator=(
   std::lock_guard<std::mutex> theirs(other.mu_, std::adopt_lock);
   stats_ = std::move(other.stats_);
   latest_by_name_ = std::move(other.latest_by_name_);
+  reuse_ = std::move(other.reuse_);
   return *this;
 }
 
@@ -41,10 +49,7 @@ Result<CostStatsRegistry> CostStatsRegistry::Load(const std::string& path) {
   if (version != kStatsVersion) {
     return Status::Corruption("unsupported stats file version");
   }
-  HELIX_ASSIGN_OR_RETURN(uint64_t count, r.GetU64());
-  if (count > (1ULL << 24)) {
-    return Status::Corruption("implausible stats entry count");
-  }
+  HELIX_ASSIGN_OR_RETURN(size_t count, r.GetCount(kMinEntryBytes, "stats"));
   CostStatsRegistry registry;
   for (uint64_t i = 0; i < count; ++i) {
     HELIX_ASSIGN_OR_RETURN(uint64_t sig, r.GetU64());
@@ -55,6 +60,21 @@ Result<CostStatsRegistry> CostStatsRegistry::Load(const std::string& path) {
     HELIX_ASSIGN_OR_RETURN(s.size_bytes, r.GetI64());
     HELIX_ASSIGN_OR_RETURN(s.last_iteration, r.GetI64());
     registry.Record(sig, s);  // keeps the by-name index consistent
+  }
+  HELIX_ASSIGN_OR_RETURN(size_t names,
+                         r.GetCount(kMinReuseEntryBytes, "reuse history"));
+  for (size_t i = 0; i < names; ++i) {
+    HELIX_ASSIGN_OR_RETURN(std::string name, r.GetString());
+    ReuseHistory h;
+    HELIX_ASSIGN_OR_RETURN(h.materialized, r.GetI64());
+    HELIX_ASSIGN_OR_RETURN(h.reused, r.GetI64());
+    if (h.materialized < 0 || h.reused < 0) {
+      return Status::Corruption("negative reuse history count");
+    }
+    registry.reuse_[std::move(name)] = h;
+  }
+  if (r.remaining() != 0) {
+    return Status::Corruption("trailing bytes after stats");
   }
   return registry;
 }
@@ -73,6 +93,12 @@ Status CostStatsRegistry::Save(const std::string& path) const {
       w.PutI64(s.load_micros);
       w.PutI64(s.size_bytes);
       w.PutI64(s.last_iteration);
+    }
+    w.PutU64(reuse_.size());
+    for (const auto& [name, h] : reuse_) {
+      w.PutString(name);
+      w.PutI64(h.materialized);
+      w.PutI64(h.reused);
     }
   }
   return WriteStringToFile(path, w.data());
@@ -164,6 +190,23 @@ void CostStatsRegistry::RecordSize(uint64_t signature, const std::string& name,
   s.size_bytes = bytes;
   s.last_iteration = iteration;
   Record(signature, s);
+}
+
+void CostStatsRegistry::RecordMaterialized(const std::string& name) {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++reuse_[name].materialized;
+}
+
+void CostStatsRegistry::RecordReused(const std::string& name) {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++reuse_[name].reused;
+}
+
+ReuseHistory CostStatsRegistry::GetReuseHistory(
+    const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = reuse_.find(name);
+  return it == reuse_.end() ? ReuseHistory{} : it->second;
 }
 
 size_t CostStatsRegistry::size() const {

@@ -5,6 +5,9 @@
 // records, per intermediate result (keyed by its cumulative Merkle
 // signature), the measured compute cost, output size, and load cost, and
 // persists them so iteration t+1 can plan with iteration t's measurements.
+// Beside them it keeps, per node name, how often results were materialized
+// and how often a stored result was loaded back: the history the
+// reuse-aware materialization rule predicts reuse from.
 #ifndef HELIX_STORAGE_COST_STATS_H_
 #define HELIX_STORAGE_COST_STATS_H_
 
@@ -31,6 +34,14 @@ struct NodeStats {
   int64_t last_iteration = -1;  // iteration that last updated this entry
 };
 
+/// Reuse history of one node name. Keyed by name, not signature: an edit
+/// gives a node a new signature, and whether its results get read again
+/// is a property of where the node sits in the user's editing.
+struct ReuseHistory {
+  int64_t materialized = 0;  // results queued or written to the store
+  int64_t reused = 0;        // stored results loaded back by any session
+};
+
 /// In-memory registry with binary persistence, keyed by cumulative
 /// signature.
 ///
@@ -40,10 +51,10 @@ struct NodeStats {
 /// consistent; callers needing a multi-entry consistent view take
 /// Snapshot. Ownership: move-only value type (moves lock the source);
 /// a shared registry is referenced, never copied. Failure modes: Load
-/// returns NotFound for a missing file and Corruption for a damaged one
-/// (callers start fresh); Save is atomic (temp + rename, so a concurrent
-/// Load never observes a half-written file) and returns IOError on
-/// filesystem failure.
+/// returns NotFound for a missing file and Corruption for a damaged,
+/// truncated or older-version one (callers start fresh); Save is atomic
+/// (temp + rename, so a concurrent Load never observes a half-written
+/// file) and returns IOError on filesystem failure.
 class CostStatsRegistry {
  public:
   CostStatsRegistry() = default;
@@ -79,6 +90,14 @@ class CostStatsRegistry {
   void RecordSize(uint64_t signature, const std::string& name, int64_t bytes,
                   int64_t iteration);
 
+  /// Reuse history: the executor counts a materialization when it queues
+  /// or writes a result and a reuse when it loads one from the store, in
+  /// any session sharing this registry.
+  void RecordMaterialized(const std::string& name);
+  void RecordReused(const std::string& name);
+  /// {0, 0} for a name with no history.
+  ReuseHistory GetReuseHistory(const std::string& name) const;
+
   /// Number of signatures with recorded stats.
   size_t size() const;
   /// Consistent copy of all entries (reporting/tests).
@@ -91,6 +110,7 @@ class CostStatsRegistry {
   std::unordered_map<uint64_t, NodeStats> stats_;
   /// name -> signature of the entry with the largest last_iteration.
   std::unordered_map<std::string, uint64_t> latest_by_name_;
+  std::unordered_map<std::string, ReuseHistory> reuse_;
 };
 
 }  // namespace storage

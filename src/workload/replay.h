@@ -44,8 +44,8 @@ struct ReplayOptions {
   int64_t memory_budget_bytes = 0;
   /// Shared pool width (0 = hardware concurrency).
   int threads = 0;
-  /// nullptr = per-session OnlineCostModelPolicy. Determinism runs pass a
-  /// shared AlwaysMaterializePolicy.
+  /// nullptr = the reuse-aware default. Determinism runs pass a shared
+  /// AlwaysMaterializePolicy.
   std::shared_ptr<core::MaterializationPolicy> mat_policy;
   /// Drives sessions, store, and every latency measurement. nullptr = the
   /// system clock. A virtual clock forces sequential replay.

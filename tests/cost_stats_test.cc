@@ -6,9 +6,12 @@
 //     a half-written file;
 //   * concurrent Record/Get from many threads is safe (the registry is
 //     internally synchronized — the shared-store service path);
+//   * the per-name reuse history round-trips, and hostile counts,
+//     truncation and older-version files fail closed;
 //   * statistics measured at iteration t actually flip an iteration t+1
-//     materialization decision (OnlineCostModelPolicy planning with
-//     measured costs vs. defaults).
+//     materialization decision (the default policy planning with
+//     measured costs vs. defaults), and the reuse history recorded by one
+//     session steers the next.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,11 +21,14 @@
 #include <thread>
 #include <vector>
 
+#include "common/bytes.h"
+#include "common/clock.h"
 #include "common/file_util.h"
 #include "core/session.h"
 #include "core/std_ops.h"
 #include "dataflow/metrics.h"
 #include "storage/cost_stats.h"
+#include "synthetic_app.h"
 
 namespace helix {
 namespace storage {
@@ -79,6 +85,118 @@ TEST_F(CostStatsFailureTest, TruncatedFileIsCorruption) {
       WriteStringToFile(path, full.value().substr(0, full.value().size() / 2))
           .ok());
   EXPECT_TRUE(CostStatsRegistry::Load(path).status().IsCorruption());
+}
+
+// --- The per-name reuse history section --------------------------------------
+
+CostStatsRegistry RegistryWithReuseHistory() {
+  CostStatsRegistry registry;
+  registry.RecordCompute(1, "scan", 500, 0);
+  for (int i = 0; i < 3; ++i) {
+    registry.RecordMaterialized("scan");
+  }
+  registry.RecordReused("scan");
+  registry.RecordMaterialized("train");
+  return registry;
+}
+
+TEST_F(CostStatsFailureTest, ReuseHistorySurvivesSaveAndLoad) {
+  std::string path = JoinPath(dir_, "STATS");
+  ASSERT_TRUE(RegistryWithReuseHistory().Save(path).ok());
+  auto loaded = CostStatsRegistry::Load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->GetReuseHistory("scan").materialized, 3);
+  EXPECT_EQ(loaded->GetReuseHistory("scan").reused, 1);
+  EXPECT_EQ(loaded->GetReuseHistory("train").materialized, 1);
+  EXPECT_EQ(loaded->GetReuseHistory("train").reused, 0);
+  EXPECT_EQ(loaded->GetReuseHistory("never-seen").materialized, 0);
+  ASSERT_TRUE(loaded->Get(1).has_value());
+  EXPECT_EQ(loaded->Get(1)->compute_micros, 500);
+}
+
+// Both counts in the file are bounded by the bytes left, so an overwritten
+// count is Corruption before anything is sized from it. Layout of a
+// registry with no signature entries: magic, version, entry count (0),
+// reuse-history count, then the history.
+TEST_F(CostStatsFailureTest, HostileCountsAreCorruption) {
+  CostStatsRegistry registry;
+  registry.RecordMaterialized("scan");
+  std::string path = JoinPath(dir_, "STATS");
+  ASSERT_TRUE(registry.Save(path).ok());
+  auto original = ReadFileToString(path);
+  ASSERT_TRUE(original.ok());
+  ASSERT_EQ(LoadU64LE(original->data() + 8), 0u);
+  ASSERT_EQ(LoadU64LE(original->data() + 16), 1u);
+  const uint64_t counts[] = {2, uint64_t{1} << 20, uint64_t{1} << 28,
+                             uint64_t{1} << 32, uint64_t{1} << 62,
+                             ~uint64_t{0}};
+  for (size_t offset : {size_t{8}, size_t{16}}) {
+    for (uint64_t count : counts) {
+      SCOPED_TRACE("offset " + std::to_string(offset) + " count " +
+                   std::to_string(count));
+      std::string bytes = original.value();
+      ByteWriter patched;
+      patched.PutU64(count);
+      bytes.replace(offset, 8, patched.data());
+      ASSERT_TRUE(WriteStringToFile(path, bytes).ok());
+      EXPECT_TRUE(CostStatsRegistry::Load(path).status().IsCorruption());
+    }
+  }
+}
+
+TEST_F(CostStatsFailureTest, EveryTruncationIsCorruption) {
+  std::string path = JoinPath(dir_, "STATS");
+  ASSERT_TRUE(RegistryWithReuseHistory().Save(path).ok());
+  auto full = ReadFileToString(path);
+  ASSERT_TRUE(full.ok());
+  std::string truncated_path = JoinPath(dir_, "STATS.cut");
+  for (size_t keep = 0; keep < full->size(); ++keep) {
+    SCOPED_TRACE("kept " + std::to_string(keep));
+    ASSERT_TRUE(
+        WriteStringToFile(truncated_path, full->substr(0, keep)).ok());
+    EXPECT_TRUE(
+        CostStatsRegistry::Load(truncated_path).status().IsCorruption());
+  }
+  // Trailing bytes are damage too, not a newer writer's extension.
+  ASSERT_TRUE(WriteStringToFile(truncated_path, full.value() + "x").ok());
+  EXPECT_TRUE(CostStatsRegistry::Load(truncated_path).status().IsCorruption());
+}
+
+TEST_F(CostStatsFailureTest, NegativeReuseCountIsCorruption) {
+  CostStatsRegistry registry;
+  registry.RecordMaterialized("scan");
+  std::string path = JoinPath(dir_, "STATS");
+  ASSERT_TRUE(registry.Save(path).ok());
+  auto bytes = ReadFileToString(path);
+  ASSERT_TRUE(bytes.ok());
+  // The last field is the reuse count of the only name.
+  ByteWriter negative;
+  negative.PutI64(-1);
+  bytes->replace(bytes->size() - 8, 8, negative.data());
+  ASSERT_TRUE(WriteStringToFile(path, bytes.value()).ok());
+  EXPECT_TRUE(CostStatsRegistry::Load(path).status().IsCorruption());
+}
+
+// A stats file from before the reuse history (version 1) is not read: it
+// is Corruption, and a session over it starts with an empty registry.
+TEST_F(CostStatsFailureTest, VersionOneFileStartsCold) {
+  ByteWriter v1;
+  v1.PutU32(0x53584C48);  // "HLXS"
+  v1.PutU32(1);
+  v1.PutU64(1);
+  v1.PutU64(42);
+  v1.PutString("scan");
+  for (int64_t field : {500, -1, 64, 0}) {
+    v1.PutI64(field);
+  }
+  std::string path = JoinPath(dir_, "STATS");
+  ASSERT_TRUE(WriteStringToFile(path, v1.data()).ok());
+  EXPECT_TRUE(CostStatsRegistry::Load(path).status().IsCorruption());
+  core::SessionOptions options;
+  options.workspace_dir = dir_;
+  auto session = core::Session::Open(options);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  EXPECT_EQ((*session)->stats()->size(), 0u);
 }
 
 TEST_F(CostStatsFailureTest, ConcurrentSaveAndLoadNeverSeeTornFiles) {
@@ -274,6 +392,52 @@ TEST_F(CostStatsFailureTest, MeasuredStatsFlipNextIterationMaterialization) {
     EXPECT_NE(v2->report.FindNode("slow")->state,
               core::NodeState::kCompute);
   }
+}
+
+// The reuse history is saved with the stats file: a disk session reopened
+// over the workspace decides with what the closed one learned.
+TEST_F(CostStatsFailureTest, ReuseHistorySteersAReopenedSession) {
+  auto open = [](const std::string& dir, VirtualClock* clock) {
+    core::SessionOptions options;
+    options.workspace_dir = dir;
+    options.clock = clock;
+    return core::Session::Open(options);
+  };
+  {
+    VirtualClock clock;
+    auto session = open(dir_, &clock);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    for (int t = 0; t < testutil::kChurnWritesBeforeSkip; ++t) {
+      auto result = (*session)->RunIteration(
+          testutil::ChurnWorkflow(t), "edit feat",
+          core::ChangeCategory::kDataPreprocessing);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_TRUE(result->report.FindNode("feat")->materialized);
+    }
+  }
+  auto reloaded = CostStatsRegistry::Load(JoinPath(dir_, "STATS"));
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_EQ(reloaded->GetReuseHistory("feat").materialized,
+            testutil::kChurnWritesBeforeSkip);
+
+  VirtualClock clock;
+  auto reopened = open(dir_, &clock);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  auto steered = (*reopened)->RunIteration(testutil::ChurnWorkflow(100),
+                                           "first run after reopen",
+                                           core::ChangeCategory::kInitial);
+  ASSERT_TRUE(steered.ok()) << steered.status().ToString();
+  EXPECT_FALSE(steered->report.FindNode("feat")->materialized);
+
+  // A workspace without that history stores the same result.
+  VirtualClock fresh_clock;
+  auto fresh = open(JoinPath(dir_, "fresh"), &fresh_clock);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  auto unsteered = (*fresh)->RunIteration(testutil::ChurnWorkflow(100),
+                                          "first run",
+                                          core::ChangeCategory::kInitial);
+  ASSERT_TRUE(unsteered.ok()) << unsteered.status().ToString();
+  EXPECT_TRUE(unsteered->report.FindNode("feat")->materialized);
 }
 
 }  // namespace

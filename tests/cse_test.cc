@@ -6,6 +6,7 @@
 #include "core/materialization.h"
 #include "core/std_ops.h"
 #include "core/workflow_dag.h"
+#include "storage/cost_stats.h"
 
 namespace helix {
 namespace core {
@@ -113,9 +114,14 @@ TEST(CseTest, MergedWorkflowCompilesAndPreservesSignatures) {
             merged->cumulative_signature(merged->FindNode("sink")));
 }
 
-// --- ReusePredictingPolicy -------------------------------------------------------
+// --- ReusePredictingPolicy over the stats registry ---------------------------
+//
+// The policy is a pure function of its context; the history it learns from
+// is the registry's per-name counts, which the executor records and copies
+// into the context. These tests drive the registry the same way.
 
-MaterializationContext Ctx(const std::string& name, int64_t compute,
+MaterializationContext Ctx(const storage::CostStatsRegistry& registry,
+                           const std::string& name, int64_t compute,
                            int64_t load, int64_t ancestors) {
   MaterializationContext ctx;
   ctx.node_name = name;
@@ -124,63 +130,86 @@ MaterializationContext Ctx(const std::string& name, int64_t compute,
   ctx.ancestors_compute_micros = ancestors;
   ctx.size_bytes = 10;
   ctx.remaining_budget_bytes = 1 << 20;
+  storage::ReuseHistory history = registry.GetReuseHistory(name);
+  ctx.times_materialized = history.materialized;
+  ctx.times_reused = history.reused;
   return ctx;
 }
 
+// One iteration's outcome for `name`: materialized, and maybe loaded back.
+void Observe(storage::CostStatsRegistry* registry, const std::string& name,
+             bool loaded) {
+  registry->RecordMaterialized(name);
+  if (loaded) {
+    registry->RecordReused(name);
+  }
+}
+
 TEST(ReusePolicyTest, PriorBehavesLikeCostModel) {
+  storage::CostStatsRegistry registry;
   ReusePredictingPolicy policy;
   // Huge saving: prior p=0.6 -> expected benefit 0.6*(10000-100) >> 100.
-  EXPECT_TRUE(policy.ShouldMaterialize(Ctx("n", 10000, 100, 0)));
+  EXPECT_TRUE(policy.ShouldMaterialize(Ctx(registry, "n", 10000, 100, 0)));
   // Saving below write cost: never worth it at any probability.
-  EXPECT_FALSE(policy.ShouldMaterialize(Ctx("n", 100, 200, 0)));
+  EXPECT_FALSE(policy.ShouldMaterialize(Ctx(registry, "n", 100, 200, 0)));
 }
 
 TEST(ReusePolicyTest, LearnsToSkipChurnedNodes) {
+  storage::CostStatsRegistry registry;
   ReusePredictingPolicy policy;
-  MaterializationContext ctx = Ctx("churny", 3000, 1000, 0);
   // saving = 2000; write = 1000; threshold p > 0.5.
-  EXPECT_TRUE(policy.ShouldMaterialize(ctx));  // prior 0.6 > 0.5
+  EXPECT_TRUE(policy.ShouldMaterialize(
+      Ctx(registry, "churny", 3000, 1000, 0)));  // prior 0.6 > 0.5
 
   // The node keeps being materialized but never reused (the user edits it
   // every iteration).
   for (int i = 0; i < 10; ++i) {
-    policy.ObserveOutcomes({{"churny", /*loaded=*/false,
-                             /*materialized=*/true}});
+    Observe(&registry, "churny", /*loaded=*/false);
   }
-  EXPECT_LT(policy.PredictedReuseProbability("churny"), 0.2);
+  MaterializationContext ctx = Ctx(registry, "churny", 3000, 1000, 0);
+  EXPECT_LT(policy.PredictedReuseProbability(ctx), 0.2);
   EXPECT_FALSE(policy.ShouldMaterialize(ctx));
 }
 
 TEST(ReusePolicyTest, LearnsToKeepReusedNodes) {
+  storage::CostStatsRegistry registry;
   ReusePredictingPolicy::Options options;
   options.prior_reuse_probability = 0.1;  // pessimistic prior
   ReusePredictingPolicy policy(options);
-  MaterializationContext ctx = Ctx("stable", 3000, 1000, 0);
-  EXPECT_FALSE(policy.ShouldMaterialize(ctx));  // prior too low
+  EXPECT_FALSE(policy.ShouldMaterialize(
+      Ctx(registry, "stable", 3000, 1000, 0)));  // prior too low
 
   for (int i = 0; i < 10; ++i) {
-    policy.ObserveOutcomes({{"stable", /*loaded=*/true,
-                             /*materialized=*/true}});
+    Observe(&registry, "stable", /*loaded=*/true);
   }
-  EXPECT_GT(policy.PredictedReuseProbability("stable"), 0.8);
+  MaterializationContext ctx = Ctx(registry, "stable", 3000, 1000, 0);
+  EXPECT_GT(policy.PredictedReuseProbability(ctx), 0.8);
   EXPECT_TRUE(policy.ShouldMaterialize(ctx));
 }
 
 TEST(ReusePolicyTest, BudgetStillGates) {
+  storage::CostStatsRegistry registry;
+  for (int i = 0; i < 10; ++i) {
+    Observe(&registry, "n", /*loaded=*/true);
+  }
   ReusePredictingPolicy policy;
-  MaterializationContext ctx = Ctx("n", 100000, 10, 100000);
+  MaterializationContext ctx = Ctx(registry, "n", 100000, 10, 100000);
   ctx.size_bytes = 100;
   ctx.remaining_budget_bytes = 99;
   EXPECT_FALSE(policy.ShouldMaterialize(ctx));
 }
 
 TEST(ReusePolicyTest, HistoriesAreIndependentPerName) {
+  storage::CostStatsRegistry registry;
   ReusePredictingPolicy policy;
   for (int i = 0; i < 8; ++i) {
-    policy.ObserveOutcomes({{"a", false, true}, {"b", true, true}});
+    Observe(&registry, "a", /*loaded=*/false);
+    Observe(&registry, "b", /*loaded=*/true);
   }
-  EXPECT_LT(policy.PredictedReuseProbability("a"), 0.2);
-  EXPECT_GT(policy.PredictedReuseProbability("b"), 0.8);
+  EXPECT_LT(policy.PredictedReuseProbability(Ctx(registry, "a", 1, 1, 0)),
+            0.2);
+  EXPECT_GT(policy.PredictedReuseProbability(Ctx(registry, "b", 1, 1, 0)),
+            0.8);
 }
 
 }  // namespace

@@ -361,9 +361,8 @@ TEST(DataCollectionTest, GarbageRejected) {
 // Offset of the payload body in an envelope: magic, version, kind tag.
 constexpr size_t kBodyOffset = 4 + 4 + 1;
 
-void ExpectResealedCountsRejected(const DataCollection& data, size_t offset,
+void ExpectResealedCountsRejected(const std::string& original, size_t offset,
                                   uint64_t honest) {
-  const std::string original = data.SerializeToString();
   ASSERT_TRUE(DataCollection::DeserializeFromString(original).ok());
   ASSERT_LE(offset + 8, original.size() - 8);
   ASSERT_EQ(LoadU64LE(original.data() + offset), honest)
@@ -388,6 +387,11 @@ void ExpectResealedCountsRejected(const DataCollection& data, size_t offset,
     auto parsed = DataCollection::ParseEnvelope(bytes);
     EXPECT_TRUE(parsed.status().IsCorruption()) << parsed.status().ToString();
   }
+}
+
+void ExpectResealedCountsRejected(const DataCollection& data, size_t offset,
+                                  uint64_t honest) {
+  ExpectResealedCountsRejected(data.SerializeToString(), offset, honest);
 }
 
 // Examples with an empty feature dict: [dict count][example count]
@@ -427,6 +431,106 @@ TEST(DecoderCountTest, TextDocAndSpanCountsBoundedByRemainingBytes) {
   DataCollection data = DataCollection::FromText(text);
   ExpectResealedCountsRejected(data, kBodyOffset, 1);
   ExpectResealedCountsRejected(data, kBodyOffset + 8 + 8 + 2 + 8 + 1, 1);
+}
+
+// A one-column table: [field count][name length]["c"][type tag], then the
+// row count the column decoder sizes from, then the column.
+constexpr size_t kRowCountOffset = kBodyOffset + 8 + 8 + 1 + 1;
+
+std::shared_ptr<TableData> OneColumnTable(ValueType type,
+                                          const std::vector<Value>& cells) {
+  auto table = std::make_shared<TableData>(Schema({Field{"c", type}}));
+  for (const Value& v : cells) {
+    EXPECT_TRUE(table->AppendRow({v}).ok());
+  }
+  return table;
+}
+
+void ExpectRowCountRejected(const std::shared_ptr<TableData>& table,
+                            Column::Storage storage) {
+  ASSERT_EQ(table->column(0)->storage(), storage)
+      << "the test's table does not produce the column kind it names";
+  ExpectResealedCountsRejected(DataCollection::FromTable(table),
+                               kRowCountOffset,
+                               static_cast<uint64_t>(table->num_rows()));
+}
+
+TEST(DecoderCountTest, Int64RowCountBoundedByRemainingBytes) {
+  ExpectRowCountRejected(
+      OneColumnTable(ValueType::kInt, {Value(int64_t{1}), Value(int64_t{2}),
+                                       Value(int64_t{3})}),
+      Column::Storage::kInt64);
+}
+
+TEST(DecoderCountTest, DoubleRowCountBoundedByRemainingBytes) {
+  ExpectRowCountRejected(
+      OneColumnTable(ValueType::kDouble, {Value(0.5), Value(1.5)}),
+      Column::Storage::kDouble);
+}
+
+TEST(DecoderCountTest, BoolRowCountBoundedByRemainingBytes) {
+  ExpectRowCountRejected(
+      OneColumnTable(ValueType::kBool, {Value(true), Value(false)}),
+      Column::Storage::kBool);
+}
+
+TEST(DecoderCountTest, StringRowCountBoundedByRemainingBytes) {
+  ExpectRowCountRejected(
+      OneColumnTable(ValueType::kString,
+                     {Value(std::string("a")), Value(std::string("bb")),
+                      Value(std::string("ccc"))}),
+      Column::Storage::kString);
+}
+
+TEST(DecoderCountTest, DictionaryRowCountBoundedByRemainingBytes) {
+  std::vector<Value> cells;
+  for (int i = 0; i < 32; ++i) {
+    cells.emplace_back(std::string(i % 2 == 0 ? "x" : "y"));
+  }
+  ExpectRowCountRejected(OneColumnTable(ValueType::kString, cells),
+                         Column::Storage::kDictString);
+}
+
+TEST(DecoderCountTest, MixedRowCountBoundedByRemainingBytes) {
+  ExpectRowCountRejected(
+      OneColumnTable(ValueType::kInt,
+                     {Value(int64_t{1}), Value(std::string("s")), Value(2.5)}),
+      Column::Storage::kMixed);
+}
+
+// v1 tables are row-major tagged cells after the same header; built here
+// by hand from a v2 envelope's header (the writer emits only v2).
+TEST(DecoderCountTest, V1TableRowCountBoundedByRemainingBytes) {
+  const std::vector<int64_t> cells = {7, 8, 9};
+  std::vector<Value> values;
+  for (int64_t v : cells) {
+    values.emplace_back(v);
+  }
+  std::string v2 =
+      DataCollection::FromTable(OneColumnTable(ValueType::kInt, values))
+          .SerializeToString();
+  ByteWriter w;
+  w.PutRaw(v2.data(), kRowCountOffset);
+  w.PutU64(cells.size());
+  for (int64_t v : cells) {
+    w.PutU8(static_cast<uint8_t>(ValueType::kInt));
+    w.PutI64(v);
+  }
+  std::string v1 = w.data();
+  ByteWriter version;
+  version.PutU32(1);
+  v1.replace(4, 4, version.data());
+  ByteWriter trailer;
+  trailer.PutU64(FnvHash64(v1.data(), v1.size()));
+  v1 += trailer.data();
+
+  auto decoded = DataCollection::DeserializeFromString(v1);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  auto table = decoded->AsTable();
+  ASSERT_TRUE(table.ok());
+  ASSERT_EQ((*table)->num_rows(), 3);
+  EXPECT_EQ((*table)->at(2, 0).AsInt(), 9);
+  ExpectResealedCountsRejected(v1, kRowCountOffset, cells.size());
 }
 
 TEST(DataCollectionTest, ParseEnvelopeSkipsOnlyTheChecksum) {

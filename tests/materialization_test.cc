@@ -2,6 +2,8 @@
 // offline knapsack OPT used in ablations.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/materialization.h"
 
 namespace helix {
@@ -92,7 +94,41 @@ TEST(PhaseFilterTest, RestrictsInnerPolicyToPhases) {
   EXPECT_FALSE(policy.ShouldMaterialize(post));
 }
 
+// --- The reuse-aware default ---------------------------------------------------
+
+// At p̂ = 1, p̂·[(c + anc) − l] > l is exactly 2l − (c + anc) < 0: a prior
+// of mean 1 with no history, or a history where every write was read
+// back, decides like the paper's rule on every cost triple.
+TEST(ReuseAwarePolicyTest, ReducesToThePaperRuleWhenReuseIsCertain) {
+  ReusePredictingPolicy::Options certain;
+  certain.prior_reuse_probability = 1.0;
+  ReusePredictingPolicy prior_one(certain);
+  ReusePredictingPolicy default_prior;
+  OnlineCostModelPolicy paper;
+  for (int64_t compute : {0, 5, 10, 40, 59, 60, 61, 100, 1000}) {
+    for (int64_t load : {0, 1, 10, 30, 31, 500}) {
+      for (int64_t ancestors : {0, 1, 20, 2000}) {
+        MaterializationContext ctx = MakeContext(compute, load, ancestors);
+        SCOPED_TRACE(std::to_string(compute) + "/" + std::to_string(load) +
+                     "/" + std::to_string(ancestors));
+        EXPECT_EQ(prior_one.ShouldMaterialize(ctx),
+                  paper.ShouldMaterialize(ctx));
+        MaterializationContext reused = ctx;
+        reused.times_materialized = 1000;
+        reused.times_reused = 1000;
+        EXPECT_NEAR(prior_one.PredictedReuseProbability(reused), 1.0, 1e-12);
+        // The default prior's p̂ is below 1, so it never stores what the
+        // paper's rule skips.
+        if (!paper.ShouldMaterialize(ctx)) {
+          EXPECT_FALSE(default_prior.ShouldMaterialize(ctx));
+        }
+      }
+    }
+  }
+}
+
 TEST(PolicyTest, NamesAreStable) {
+  EXPECT_EQ(ReusePredictingPolicy().name(), "helix-reuse");
   EXPECT_EQ(OnlineCostModelPolicy().name(), "helix-online");
   EXPECT_EQ(AlwaysMaterializePolicy().name(), "always");
   EXPECT_EQ(NeverMaterializePolicy().name(), "never");

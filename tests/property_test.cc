@@ -115,11 +115,11 @@ TEST_P(RandomWorkloadTest, AllConfigurationsAgreeAndOptWins) {
   }
 
   std::vector<SessionConfig> configs;
-  configs.push_back({"opt-online", PlannerKind::kOptimal, nullptr, true});
+  configs.push_back({"opt-online", PlannerKind::kOptimal,
+                     std::make_shared<OnlineCostModelPolicy>(), true});
   configs.push_back({"opt-always", PlannerKind::kOptimal,
                      std::make_shared<AlwaysMaterializePolicy>(), true});
-  configs.push_back({"opt-reuse-predict", PlannerKind::kOptimal,
-                     std::make_shared<ReusePredictingPolicy>(), true});
+  configs.push_back({"opt-default", PlannerKind::kOptimal, nullptr, true});
   configs.push_back({"greedy-online", PlannerKind::kGreedy, nullptr, true});
   configs.push_back({"naive-always", PlannerKind::kNaiveReuse,
                      std::make_shared<AlwaysMaterializePolicy>(), true});

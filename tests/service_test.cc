@@ -12,16 +12,19 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/file_util.h"
 #include "core/materialization.h"
 #include "core/session.h"
 #include "core/std_ops.h"
 #include "obs/metrics.h"
 #include "service/session_service.h"
+#include "storage/cost_stats.h"
 #include "storage/store.h"
 #include "synthetic_app.h"
 #include "writer_gate_clock.h"
@@ -33,6 +36,7 @@ namespace {
 using core::ChangeCategory;
 using core::Workflow;
 using testutil::FingerprintOutputs;
+using testutil::kChurnWritesBeforeSkip;
 using testutil::OutputFingerprints;
 using testutil::RunTrace;
 using testutil::SyntheticApp;
@@ -433,6 +437,141 @@ TEST_F(ServiceTest, StoreHitsPlusMissesCountLiveNodesOnce) {
     EXPECT_EQ(hits->Value() + misses->Value() - probes_before, live);
   }
   EXPECT_GT(hits->Value(), 0);
+}
+
+// --- The reuse-aware default and its shared history -------------------------
+
+// The reuse history lives in the service's stats registry, not in a policy
+// object: what session A learned decides session B's first write.
+TEST_F(ServiceTest, OneSessionsReuseHistorySteersAnothersDecision) {
+  VirtualClock clock;
+  ServiceOptions options;
+  options.workspace_dir = JoinPath(dir_, "history");
+  options.num_threads = 1;
+  options.clock = &clock;
+  auto service = SessionService::Open(options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  auto a = (*service)->CreateSession("a");
+  ASSERT_TRUE(a.ok());
+  for (int t = 0; t < kChurnWritesBeforeSkip + 2; ++t) {
+    SCOPED_TRACE("version " + std::to_string(t));
+    auto result = (*service)->RunIteration(*a, testutil::ChurnWorkflow(t),
+                                           "edit feat", CategoryOf(t));
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const core::NodeExecution* feat = result->report.FindNode("feat");
+    ASSERT_EQ(feat->state, core::NodeState::kCompute);
+    EXPECT_EQ(feat->materialized, t < kChurnWritesBeforeSkip);
+  }
+  storage::ReuseHistory history =
+      (*service)->stats()->GetReuseHistory("feat");
+  EXPECT_EQ(history.materialized, kChurnWritesBeforeSkip);
+  EXPECT_EQ(history.reused, 0);
+
+  auto b = (*service)->CreateSession("b");
+  ASSERT_TRUE(b.ok());
+  auto steered = (*service)->RunIteration(*b, testutil::ChurnWorkflow(100),
+                                          "first run", CategoryOf(0));
+  ASSERT_TRUE(steered.ok()) << steered.status().ToString();
+  EXPECT_FALSE(steered->report.FindNode("feat")->materialized);
+
+  // Without the history the same first run stores `feat`.
+  VirtualClock fresh_clock;
+  options.workspace_dir = JoinPath(dir_, "no-history");
+  options.clock = &fresh_clock;
+  auto fresh = SessionService::Open(options);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  auto c = (*fresh)->CreateSession("c");
+  ASSERT_TRUE(c.ok());
+  auto unsteered = (*fresh)->RunIteration(*c, testutil::ChurnWorkflow(100),
+                                          "first run", CategoryOf(0));
+  ASSERT_TRUE(unsteered.ok()) << unsteered.status().ToString();
+  EXPECT_TRUE(unsteered->report.FindNode("feat")->materialized);
+}
+
+// Under write-behind, session A's write may still be queued when session B
+// plans; B waits for it and loads it, and that load is a reuse of the
+// node A wrote.
+TEST_F(ServiceTest, LoadOfAnotherSessionsWriteCountsAsReuse) {
+  ServiceOptions options;
+  options.workspace_dir = JoinPath(dir_, "cross-reuse");
+  options.num_threads = 1;
+  options.mat_policy = std::make_shared<core::AlwaysMaterializePolicy>();
+  auto service = SessionService::Open(options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  auto a = (*service)->CreateSession("a");
+  auto b = (*service)->CreateSession("b");
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  auto wrote = (*service)->RunIteration(*a, testutil::ChurnWorkflow(1),
+                                        "initial", CategoryOf(0));
+  ASSERT_TRUE(wrote.ok()) << wrote.status().ToString();
+  ASSERT_TRUE(wrote->report.FindNode("feat")->materialized);
+  EXPECT_EQ((*service)->stats()->GetReuseHistory("feat").reused, 0);
+
+  auto read = (*service)->RunIteration(*b, testutil::ChurnWorkflow(1),
+                                       "same workflow", CategoryOf(0));
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  const core::NodeExecution* feat = read->report.FindNode("feat");
+  ASSERT_EQ(feat->state, core::NodeState::kLoad);
+  EXPECT_FALSE(feat->shared);
+  storage::ReuseHistory history =
+      (*service)->stats()->GetReuseHistory("feat");
+  EXPECT_EQ(history.materialized, 1);
+  EXPECT_EQ(history.reused, 1);
+}
+
+// Sessions record materializations and loads into the shared registry
+// while other sessions read it to decide: no update is lost, and the
+// totals match what the reports say happened. Run under TSan in CI.
+TEST_F(ServiceTest, ConcurrentSessionsRecordReuseWhileOthersDecide) {
+  constexpr int kSessions = 4;
+  constexpr int kIterations = 4;
+  SyntheticApp app(0xBEEF);
+  ServiceOptions options;
+  options.workspace_dir = JoinPath(dir_, "concurrent-history");
+  options.num_threads = kSessions;
+  auto service = SessionService::Open(options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  std::vector<ServiceSession*> sessions;
+  for (int s = 0; s < kSessions; ++s) {
+    auto session = (*service)->CreateSession("user-" + std::to_string(s));
+    ASSERT_TRUE(session.ok());
+    sessions.push_back(*session);
+  }
+  std::map<std::string, storage::ReuseHistory> expected;
+  std::mutex expected_mu;
+  std::vector<std::thread> users;
+  for (int s = 0; s < kSessions; ++s) {
+    users.emplace_back([&, s]() {
+      for (int i = 0; i < kIterations; ++i) {
+        auto result = (*service)
+                          ->SubmitIteration(sessions[static_cast<size_t>(s)],
+                                            app.Build(i), "it", CategoryOf(i))
+                          .get();
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        std::lock_guard<std::mutex> lock(expected_mu);
+        for (const core::NodeExecution& node : result->report.nodes) {
+          storage::ReuseHistory& h = expected[node.name];
+          h.materialized += node.materialized ? 1 : 0;
+          h.reused +=
+              node.state == core::NodeState::kLoad && !node.shared ? 1 : 0;
+        }
+      }
+    });
+  }
+  for (std::thread& t : users) {
+    t.join();
+  }
+  int64_t total_reused = 0;
+  for (const auto& [name, h] : expected) {
+    SCOPED_TRACE(name);
+    storage::ReuseHistory recorded =
+        (*service)->stats()->GetReuseHistory(name);
+    EXPECT_EQ(recorded.materialized, h.materialized);
+    EXPECT_EQ(recorded.reused, h.reused);
+    total_reused += recorded.reused;
+  }
+  EXPECT_GT(total_reused, 0);
 }
 
 }  // namespace

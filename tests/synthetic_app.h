@@ -101,6 +101,32 @@ struct SyntheticApp {
   }
 };
 
+/// src -> feat, with declared costs (exact on a VirtualClock), for tests of
+/// the reuse-aware materialization rule. `feat` is worth storing on first
+/// sight: with the prior p̂ = 0.6, 0.6 · ((10000 + 1000) − 1500) > 1500.
+/// Each new `feat_tag` is a new version nobody reads again; after six
+/// such writes p̂ = 1.2 / 8 = 0.15 and the rule stops storing `feat`.
+inline core::Workflow ChurnWorkflow(int64_t feat_tag) {
+  namespace ops = core::ops;
+  using core::Phase;
+  core::Workflow wf("churn");
+  core::NodeRef src =
+      wf.Add(ops::Synthetic("src", Phase::kDataPreprocessing, 1,
+                            core::SyntheticCosts{1000, 900, 900},
+                            /*payload_bytes=*/256));
+  core::NodeRef feat =
+      wf.Add(ops::Synthetic("feat", Phase::kDataPreprocessing, feat_tag,
+                            core::SyntheticCosts{10000, 1500, 1500},
+                            /*payload_bytes=*/256),
+             {src});
+  wf.MarkOutput(feat);
+  return wf;
+}
+
+/// How many churned versions of ChurnWorkflow the default rule stores
+/// before it stops.
+constexpr int kChurnWritesBeforeSkip = 6;
+
 /// Per-iteration outputs, fingerprinted: the byte-identity unit of the
 /// determinism properties.
 using OutputFingerprints = std::vector<std::pair<std::string, uint64_t>>;

@@ -239,6 +239,72 @@ TEST_F(TraceTest, ReplayTwiceIsBitIdenticalPerScenario) {
   EXPECT_EQ(scenario_index, 5);
 }
 
+// A virtual clock on which every reading advances time by a fixed step.
+// Measured costs are then nonzero, so the cost-based policies have real
+// decisions to make, and a sequential replay still reproduces them
+// exactly (on a plain VirtualClock every real operator costs 0 and no
+// cost-based policy stores anything).
+class SteppingClock final : public Clock {
+ public:
+  int64_t NowMicros() const override { return now_ += kStepMicros; }
+  void AdvanceMicros(int64_t micros) override {
+    if (micros > 0) {
+      now_ += micros;
+    }
+  }
+  bool is_virtual() const override { return true; }
+
+ private:
+  static constexpr int64_t kStepMicros = 100;
+  mutable int64_t now_ = 0;
+};
+
+// Value of one counter in a service metrics snapshot; -1 if absent.
+int64_t CounterIn(const std::string& json, const std::string& name) {
+  std::string key = "\"" + name + "\":";
+  size_t at = json.find(key);
+  return at == std::string::npos ? -1
+                                 : std::stoll(json.substr(at + key.size()));
+}
+
+// A policy picks what is stored, never what is computed: every scenario,
+// over three seeds, replays to the same outputs under the paper's rule and
+// under the reuse-aware default, although the two store different sets.
+TEST_F(TraceTest, MaterializationPolicyNeverChangesOutputs) {
+  int diverging_runs = 0;
+  for (const std::string& scenario : ScenarioNames()) {
+    for (uint64_t seed : {1u, 2u, 3u}) {
+      std::string tag = scenario + "-s" + std::to_string(seed);
+      SCOPED_TRACE(tag);
+      Trace trace = MustGenerate(SmallConfig(scenario, seed));
+      std::string data = Path(tag + "-data");
+      ASSERT_TRUE(MaterializeTraceData(trace, data).ok());
+      ReplayResult runs[2];
+      for (int p = 0; p < 2; ++p) {
+        SteppingClock clock;
+        ReplayOptions options = DeterministicOptions(
+            Path(tag + "-ws-" + std::to_string(p)), data, &clock);
+        options.mat_policy =
+            p == 0 ? std::make_shared<core::OnlineCostModelPolicy>() : nullptr;
+        auto result = ReplayTrace(trace, options);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        runs[p] = std::move(result).value();
+      }
+      EXPECT_EQ(runs[0].run_fingerprint, runs[1].run_fingerprint);
+      int64_t stored[2];
+      for (int p = 0; p < 2; ++p) {
+        stored[p] = CounterIn(runs[p].metrics_json,
+                              "executor.nodes_materialized");
+        ASSERT_GE(stored[p], 0) << runs[p].metrics_json;
+      }
+      if (stored[0] != stored[1]) {
+        ++diverging_runs;
+      }
+    }
+  }
+  EXPECT_GT(diverging_runs, 0) << "the policies never stored differently";
+}
+
 TEST_F(TraceTest, ReplaySeedsDiverge) {
   // Different seeds produce different data, so the replayed output
   // fingerprints must differ too (the fingerprint really covers results,
