@@ -5,10 +5,10 @@
 // latency, and the reuse hit rates — if remoting is correct, the hit
 // rates match and only the latency overhead differs.
 //
-// Also emits the transport scaling curve (1/10/100/1000 concurrent
-// connections x {event loop, thread-per-connection}, with the process
-// thread count as evidence of the event loop's flat thread model) and a
-// serial-vs-pipelined RPC row for the async multiplexing client.
+// Also emits the connection-scaling curve (1/10/100/1000 concurrent
+// connections, with the process thread count as evidence of the event
+// loop's flat thread model) and a serial-vs-pipelined RPC row for the
+// async multiplexing client.
 //
 // Usage: bench_net [--users=4] [--iterations=6] [--rows=4000] [--threads=0]
 //                  [--max-clients=1000]
@@ -312,19 +312,16 @@ int ReadThreadCount() {
 // One point on the scaling curve: N concurrent connections sharing a
 // fixed call budget of small GetCounters RPCs — the cost of carrying
 // connections, not of running workflows. The thread count is sampled
-// with all N connected: in event-loop mode it stays flat as N grows
-// (io_threads + pool + the clients' own receivers); in thread mode it
-// grows by one reader per connection.
-void RunScalingCell(const std::string& workspace, bool event_loop,
-                    int num_clients) {
+// with all N connected: the server's share stays flat as N grows
+// (io_threads + pool); only the clients' own receivers grow with N.
+void RunScalingCell(const std::string& workspace, int num_clients) {
   net::ServerOptions options;
-  options.event_loop = event_loop;
   options.service.workspace_dir = workspace;
   options.service.num_threads = 2;
   // This bench measures transport capacity, not shedding: lift the
   // backpressure bounds out of the way.
-  options.max_inflight_per_connection = 1 << 20;
-  options.max_inflight_total = 1 << 20;
+  options.loop.max_inflight_per_connection = 1 << 20;
+  options.loop.max_inflight_total = 1 << 20;
   auto server = ValueOrDie(
       net::HelixServer::Start(options, net::MakeStandardResolver()),
       "start server");
@@ -369,7 +366,7 @@ void RunScalingCell(const std::string& workspace, bool event_loop,
   JsonWriter json;
   json.BeginObject()
       .KV("record", "bench_net")
-      .KV("mode", event_loop ? "scaling_event_loop" : "scaling_threaded")
+      .KV("mode", "scaling_event_loop")
       .KV("clients", static_cast<int64_t>(num_clients))
       .KV("calls", static_cast<int64_t>(total))
       .KV("threads_at_peak", static_cast<int64_t>(threads_connected))
@@ -386,15 +383,11 @@ void RunScalingCell(const std::string& workspace, bool event_loop,
 void RunScalingBench(const Config& config, const std::string& workspace) {
   RaiseFdLimit();
   const int points[] = {1, 10, 100, 1000};
-  for (bool event_loop : {true, false}) {
-    for (int clients : points) {
-      if (clients > config.max_clients) {
-        continue;
-      }
-      RunScalingCell(workspace + (event_loop ? "-ev-" : "-th-") +
-                         std::to_string(clients),
-                     event_loop, clients);
+  for (int clients : points) {
+    if (clients > config.max_clients) {
+      continue;
     }
+    RunScalingCell(workspace + "-" + std::to_string(clients), clients);
   }
 }
 

@@ -1119,7 +1119,8 @@ Operator Synthetic(const std::string& name, Phase phase, int64_t tag,
     }
     if (payload_bytes > 0) {
       // Pad with deterministic filler rows (~1 KiB each) so the serialized
-      // size approximates the declared payload.
+      // size approximates the declared payload. Each pad starts with its
+      // row index: identical pads would dictionary-encode to a few bytes.
       auto padded = std::make_shared<TableData>(
           Schema({{"v", dataflow::ValueType::kInt},
                   {"pad", dataflow::ValueType::kString}}));
@@ -1131,9 +1132,11 @@ Operator Synthetic(const std::string& name, Phase phase, int64_t tag,
                              Value(std::string())}));
       int64_t rows = payload_bytes / 1024;
       padded->Reserve(rows + 1);
+      std::string pad(1024, 'p');
       for (int64_t i = 0; i < rows; ++i) {
-        HELIX_RETURN_IF_ERROR(padded->AppendRow(
-            {Value(i), Value(std::string(1024, 'p'))}));
+        std::string index = std::to_string(i);
+        pad.replace(0, index.size(), index);
+        HELIX_RETURN_IF_ERROR(padded->AppendRow({Value(i), Value(pad)}));
       }
       return DataCollection::FromTable(std::move(padded));
     }

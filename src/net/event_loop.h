@@ -1,9 +1,9 @@
 // EventLoop: a small fixed set of epoll-driven I/O threads multiplexing
 // every client connection of a HelixServer.
 //
-// The thread-per-connection reader model spends one blocked OS thread per
+// A blocking reader per connection would spend one blocked OS thread per
 // client — fine for dozens, fatal for the paper's "millions of users"
-// framing. This loop serves the same framing protocol with `io_threads`
+// framing. This loop serves the framing protocol with `io_threads`
 // threads total, each owning one epoll instance (a shard) and a disjoint
 // subset of the connections:
 //
@@ -25,8 +25,7 @@
 //     the connection survives and the client may retry;
 //   * a bounded outbound-queue byte budget per connection — a peer that
 //     stops reading has its connection torn down when queued replies
-//     exceed the budget (the slow-reader defense; replaces the blunt
-//     30s SO_SNDTIMEO of the blocking write path).
+//     exceed the budget (the slow-reader defense).
 //
 // Threading: handlers (on_accept, on_frame, on_shed) run on the loop
 // thread owning the connection; on_hangup runs there too, or on the

@@ -127,8 +127,7 @@ Result<size_t> DecodeFrameFromBuffer(std::string_view buffer,
   return total;
 }
 
-Result<Frame> ReadFrame(TcpConnection* conn, uint32_t max_payload_bytes,
-                        uint64_t* request_id_out) {
+Result<Frame> ReadFrame(TcpConnection* conn, uint32_t max_payload_bytes) {
   std::string header_bytes(kFrameHeaderBytes, '\0');
   {
     HELIX_ASSIGN_OR_RETURN(
@@ -136,18 +135,6 @@ Result<Frame> ReadFrame(TcpConnection* conn, uint32_t max_payload_bytes,
         conn->ReadAllOrEof(header_bytes.data(), header_bytes.size()));
     if (!got) {
       return Status::NotFound("connection closed");
-    }
-  }
-  // Surface the request id even when validation below fails, so the server
-  // can tell the sender *which* request died before dropping the stream.
-  {
-    ByteReader reader(header_bytes);
-    (void)reader.GetU32();
-    (void)reader.GetU8();
-    (void)reader.GetU8();
-    Result<uint64_t> id = reader.GetU64();
-    if (id.ok() && request_id_out != nullptr) {
-      *request_id_out = id.value();
     }
   }
   HELIX_ASSIGN_OR_RETURN(Header header,

@@ -74,12 +74,8 @@ Result<size_t> DecodeFrameFromBuffer(
 
 /// Reads exactly one frame from the connection. Same error taxonomy as
 /// DecodeFrame, plus NotFound("connection closed") on a clean end-of-stream
-/// at a frame boundary and IOError on a torn stream. When the fixed header
-/// parses (even if the body then fails validation), `request_id_out` (if
-/// non-null) receives the header's request id so a server can address its
-/// error reply.
-Result<Frame> ReadFrame(TcpConnection* conn, uint32_t max_payload_bytes,
-                        uint64_t* request_id_out = nullptr);
+/// at a frame boundary and IOError on a torn stream.
+Result<Frame> ReadFrame(TcpConnection* conn, uint32_t max_payload_bytes);
 
 /// Encodes and writes one frame.
 Status WriteFrame(TcpConnection* conn, const Frame& frame);

@@ -57,7 +57,6 @@ Status TcpConnection::WriteAll(const void* data, size_t len) {
       if (errno == EINTR) {
         continue;
       }
-      last_errno_ = errno;
       return Errno("send");
     }
     p += n;
@@ -75,7 +74,6 @@ Result<bool> TcpConnection::ReadAllOrEof(void* data, size_t len) {
       if (errno == EINTR) {
         continue;
       }
-      last_errno_ = errno;
       return Errno("recv");
     }
     if (n == 0) {
@@ -90,13 +88,6 @@ Result<bool> TcpConnection::ReadAllOrEof(void* data, size_t len) {
 }
 
 void TcpConnection::ShutdownBoth() { (void)::shutdown(fd_, SHUT_RDWR); }
-
-void TcpConnection::SetSendTimeout(int seconds) {
-  timeval tv;
-  tv.tv_sec = seconds;
-  tv.tv_usec = 0;
-  (void)setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
 
 TcpListener::~TcpListener() {
   Close();

@@ -1,9 +1,9 @@
 // Thin POSIX TCP wrappers for the network layer.
 //
 // Deliberately minimal: Status-based errors over blocking sockets, IPv4 —
-// the framing protocol (net/frame.h) and the blocking client need exactly
-// "read N bytes / write N bytes / unblock a blocked peer". The epoll
-// server (net/event_loop.h) drives the same descriptors nonblocking; the
+// the framing protocol (net/frame.h) and the client need exactly "read N
+// bytes / write N bytes / unblock a blocked peer". The server's epoll loop
+// (net/event_loop.h) accepts and drives its descriptors nonblocking; the
 // fd accessors and SetNonBlocking below are its escape hatch from the
 // blocking helpers.
 #ifndef HELIX_NET_SOCKET_H_
@@ -22,8 +22,8 @@ namespace net {
 /// One connected TCP stream. Thread safety: WriteAll and ReadAll may run
 /// concurrently with each other (full duplex) and with ShutdownBoth, but
 /// each direction must be driven by at most one thread at a time — callers
-/// needing concurrent writers serialize externally (the server holds a
-/// per-connection write mutex). Ownership: closes the fd on destruction.
+/// needing concurrent writers serialize externally (the client holds a
+/// write mutex). Ownership: closes the fd on destruction.
 class TcpConnection {
  public:
   explicit TcpConnection(int fd) : fd_(fd) {}
@@ -45,25 +45,10 @@ class TcpConnection {
   /// to call from any thread, repeatedly.
   void ShutdownBoth();
 
-  /// Bounds how long WriteAll may block on a full send buffer; afterwards
-  /// a stalled write fails with IOError instead of blocking forever. A
-  /// server sets this on accepted connections so a client that stops
-  /// reading cannot pin a worker thread.
-  void SetSendTimeout(int seconds);
-
   int fd() const { return fd_; }
-
-  /// The errno of this connection's most recent failed I/O call (0 if none
-  /// has failed). Lets a caller classify *why* a write died — EPIPE /
-  /// ECONNRESET is a peer that went away, EAGAIN / EWOULDBLOCK out of a
-  /// blocking call is the send-timeout slow-reader defense firing — which
-  /// the Status message alone does not carry reliably. Meaningful only on
-  /// the thread driving that direction (same discipline as the I/O calls).
-  int last_errno() const { return last_errno_; }
 
  private:
   int fd_;
-  int last_errno_ = 0;
 };
 
 /// A listening TCP socket.

@@ -300,11 +300,9 @@ WorkflowResolver SyntheticResolver() {
 // K concurrent clients over loopback TCP against one HelixServer.
 void RunRemote(const std::string& root, const SyntheticApp& app,
                int num_sessions, int num_iterations, RunTrace* trace,
-               service::SessionCounters* aggregate_out,
-               bool event_loop = true) {
+               service::SessionCounters* aggregate_out) {
   trace->outputs.resize(static_cast<size_t>(num_sessions));
   ServerOptions options;
-  options.event_loop = event_loop;
   options.service.workspace_dir = JoinPath(root, "remote");
   options.service.num_threads = num_sessions;
   options.service.mat_policy =
@@ -427,44 +425,6 @@ TEST_F(NetTest, RemoteMatchesInProcessDeterminismProperty) {
   }
 }
 
-// The transport-mode differential, over many seeds: the epoll event loop
-// and the legacy thread-per-connection readers are interchangeable —
-// every session's per-iteration output fingerprints are byte-identical
-// across the two modes.
-TEST_F(NetTest, EventLoopMatchesThreadPerConnectionAcrossSeeds) {
-  constexpr int kSeeds = 10;
-  constexpr int kSessions = 2;
-  constexpr int kIterations = 2;
-  for (int seed = 0; seed < kSeeds; ++seed) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    SyntheticApp app(0xEB011ED + static_cast<uint64_t>(seed) * 7919);
-    std::string root = JoinPath(dir_, "mode-seed-" + std::to_string(seed));
-
-    RunTrace event_mode;
-    RunRemote(JoinPath(root, "ev"), app, kSessions, kIterations,
-              &event_mode, nullptr, /*event_loop=*/true);
-    if (::testing::Test::HasFatalFailure()) {
-      return;
-    }
-    RunTrace thread_mode;
-    RunRemote(JoinPath(root, "th"), app, kSessions, kIterations,
-              &thread_mode, nullptr, /*event_loop=*/false);
-    if (::testing::Test::HasFatalFailure()) {
-      return;
-    }
-
-    ASSERT_EQ(event_mode.outputs.size(), thread_mode.outputs.size());
-    for (size_t s = 0; s < event_mode.outputs.size(); ++s) {
-      ASSERT_EQ(event_mode.outputs[s].size(), thread_mode.outputs[s].size());
-      for (size_t i = 0; i < event_mode.outputs[s].size(); ++i) {
-        EXPECT_EQ(event_mode.outputs[s][i], thread_mode.outputs[s][i])
-            << "event loop vs thread-per-connection, session " << s
-            << " iteration " << i;
-      }
-    }
-  }
-}
-
 // --- Protocol robustness --------------------------------------------------
 
 class RobustnessTest : public NetTest {
@@ -473,7 +433,7 @@ class RobustnessTest : public NetTest {
     ServerOptions options;
     options.service.workspace_dir = JoinPath(dir_, "server");
     options.service.num_threads = 2;
-    options.max_payload_bytes = max_payload_bytes;
+    options.loop.max_payload_bytes = max_payload_bytes;
     auto server = HelixServer::Start(options, SyntheticResolver());
     ASSERT_TRUE(server.ok()) << server.status().ToString();
     server_ = std::move(server).value();
@@ -749,10 +709,9 @@ TEST_F(RobustnessTest, FuzzedFramesNeverKillTheServer) {
 // CloseSession: close-on-disconnect must reap every server-side session
 // (the count returns to baseline) while the retired sessions' counters
 // stay in the service aggregate.
-void RunDisconnectReap(const std::string& workspace, bool event_loop) {
+TEST_F(NetTest, DisconnectReapsSessions) {
   ServerOptions options;
-  options.event_loop = event_loop;
-  options.service.workspace_dir = workspace;
+  options.service.workspace_dir = JoinPath(dir_, "reap");
   options.service.num_threads = 2;
   auto server = HelixServer::Start(options, SyntheticResolver());
   ASSERT_TRUE(server.ok()) << server.status().ToString();
@@ -786,14 +745,6 @@ void RunDisconnectReap(const std::string& workspace, bool event_loop) {
   ASSERT_TRUE(aggregate.ok()) << aggregate.status().ToString();
   EXPECT_EQ(aggregate->iterations, kCycles);
   (*server)->Stop();
-}
-
-TEST_F(NetTest, DisconnectReapsSessionsEventMode) {
-  RunDisconnectReap(JoinPath(dir_, "reap-event"), /*event_loop=*/true);
-}
-
-TEST_F(NetTest, DisconnectReapsSessionsThreadMode) {
-  RunDisconnectReap(JoinPath(dir_, "reap-thread"), /*event_loop=*/false);
 }
 
 TEST_F(RobustnessTest, CloseSessionRetiresCountersAndRejectsReuse) {
@@ -914,8 +865,7 @@ TEST_F(NetTest, PipelinedFloodIsShedPerConnectionInEventMode) {
   std::promise<void> entered;
   std::promise<void> release;
   ServerOptions options;
-  options.event_loop = true;
-  options.max_inflight_per_connection = 4;
+  options.loop.max_inflight_per_connection = 4;
   options.service.workspace_dir = JoinPath(dir_, "flood-event");
   options.service.num_threads = 1;  // one worker, parked by the blocker
   auto server = HelixServer::Start(
@@ -941,7 +891,7 @@ TEST_F(NetTest, PipelinedFloodIsShedPerConnectionInEventMode) {
   ASSERT_TRUE(conn.ok());
   constexpr int kFlood = 20;
   constexpr uint64_t kBase = 1000;
-  const int kLimit = options.max_inflight_per_connection;
+  const int kLimit = options.loop.max_inflight_per_connection;
   for (int i = 0; i < kFlood; ++i) {
     Frame request;
     request.opcode = static_cast<uint8_t>(Opcode::kGetCounters);
@@ -986,17 +936,19 @@ TEST_F(NetTest, PipelinedFloodIsShedPerConnectionInEventMode) {
   (*server)->Stop();
 }
 
-// The same shedding contract in thread mode, tripped by the *global*
-// in-flight bound: with the worker parked holding one slot and a total
-// limit of 3, a 10-frame flood admits 2 and sheds 8.
-TEST_F(NetTest, PipelinedFloodIsShedByGlobalLimitInThreadMode) {
+// The same shedding contract tripped by the *global* in-flight bound,
+// which the loop keeps across its shards: with two I/O threads the
+// blocker and the flood connection land on different shards, the parked
+// worker holds one slot of a total limit of 3, and a 10-frame flood
+// admits 2 and sheds 8.
+TEST_F(NetTest, PipelinedFloodIsShedByGlobalLimitAcrossShards) {
   std::promise<void> entered;
   std::promise<void> release;
   ServerOptions options;
-  options.event_loop = false;
-  options.max_inflight_per_connection = 64;
-  options.max_inflight_total = 3;
-  options.service.workspace_dir = JoinPath(dir_, "flood-thread");
+  options.loop.io_threads = 2;
+  options.loop.max_inflight_per_connection = 64;
+  options.loop.max_inflight_total = 3;
+  options.service.workspace_dir = JoinPath(dir_, "flood-global");
   options.service.num_threads = 1;
   auto server = HelixServer::Start(
       options, BlockingResolver(&entered, release.get_future().share()));
@@ -1069,12 +1021,11 @@ TEST_F(NetTest, PipelinedFloodIsShedByGlobalLimitInThreadMode) {
 // server keeps serving everyone else.
 TEST_F(NetTest, SlowReaderIsTornDownAndClassifiedInEventMode) {
   ServerOptions options;
-  options.event_loop = true;
-  options.max_outbound_queue_bytes = 64 << 10;
+  options.loop.max_outbound_queue_bytes = 64 << 10;
   // The in-flight limits must not fire first; this test is about the
   // byte budget.
-  options.max_inflight_per_connection = 1 << 20;
-  options.max_inflight_total = 1 << 20;
+  options.loop.max_inflight_per_connection = 1 << 20;
+  options.loop.max_inflight_total = 1 << 20;
   options.service.workspace_dir = JoinPath(dir_, "slow-reader");
   options.service.num_threads = 2;
   auto server = HelixServer::Start(options, SyntheticResolver());
@@ -1148,7 +1099,7 @@ Result<std::string> FetchEnvelopeBytes(int port, uint64_t signature) {
 }
 
 // FetchOutput ships the stored envelope without decoding or re-encoding
-// it. On either backend and either transport, the reply payload after the
+// it. On either backend, the reply payload after the
 // status is exactly SerializeToString() of the output: the output as an
 // in-process run computes it, and every other stored intermediate as the
 // server's store decodes it.
@@ -1169,23 +1120,14 @@ TEST_F(NetTest, FetchOutputReplyIsTheSerializedOutput) {
   }
   ASSERT_FALSE(expected.empty());
 
-  struct Variant {
-    const char* tag;
-    storage::StorageBackendKind backend;
-    bool event_loop;
-  };
-  const Variant variants[] = {
-      {"memory-event", storage::StorageBackendKind::kMemory, true},
-      {"disk-event", storage::StorageBackendKind::kDisk, true},
-      {"memory-thread", storage::StorageBackendKind::kMemory, false},
-      {"disk-thread", storage::StorageBackendKind::kDisk, false},
-  };
-  for (const Variant& variant : variants) {
-    SCOPED_TRACE(variant.tag);
+  for (storage::StorageBackendKind backend :
+       {storage::StorageBackendKind::kMemory,
+        storage::StorageBackendKind::kDisk}) {
+    const char* tag = storage::StorageBackendKindToString(backend);
+    SCOPED_TRACE(tag);
     ServerOptions options;
-    options.event_loop = variant.event_loop;
-    options.service.workspace_dir = JoinPath(dir_, variant.tag);
-    options.service.storage_backend = variant.backend;
+    options.service.workspace_dir = JoinPath(dir_, tag);
+    options.service.storage_backend = backend;
     options.service.num_threads = 2;
     options.service.mat_policy =
         std::make_shared<core::AlwaysMaterializePolicy>();

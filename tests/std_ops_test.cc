@@ -409,6 +409,21 @@ TEST(StdOpsTest, SpanEvaluatorDocCountMismatchFails) {
 
 // --- Phases and signatures ----------------------------------------------------------
 
+// A declared payload is stored at its size: the pad rows are distinct, so
+// the string column cannot dictionary-encode them away. Covers a table
+// short enough to start in dictionary mode and one past its distinct cap.
+TEST(StdOpsTest, SyntheticPayloadSerializesNearItsDeclaredSize) {
+  for (int64_t payload : {int64_t{64} << 10, int64_t{12} << 20}) {
+    SCOPED_TRACE(payload);
+    auto out = Invoke(
+        ops::Synthetic("pad", Phase::kDataPreprocessing, 7, {}, payload), {});
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    double bytes = static_cast<double>(out->SerializeToString().size());
+    EXPECT_GT(bytes, 0.9 * static_cast<double>(payload));
+    EXPECT_LT(bytes, 1.1 * static_cast<double>(payload));
+  }
+}
+
 TEST(StdOpsTest, OperatorsCarryExpectedPhases) {
   EXPECT_EQ(ops::FieldExtractor("x", "f").phase(),
             Phase::kDataPreprocessing);
